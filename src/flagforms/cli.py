@@ -38,6 +38,11 @@ def _parse_ints(text):
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
+def _require_positive(flag, value):
+    if value < 1:
+        raise SystemExit(f"{flag} must be a positive integer, got {value}")
+
+
 def _emit(payload, as_json):
     if as_json:
         print(json.dumps(payload, sort_keys=True, default=str))
@@ -89,6 +94,7 @@ def _checks_report(checks, as_json):
 
 
 def cmd_schur(args):
+    _require_positive("--rank", args.rank)
     sigma = Partition(_parse_ints(args.sigma))
     poly = schur(sigma, args.rank)
     payload = {"sigma": list(sigma.parts), "rank": args.rank, "polynomial": str(poly)}
@@ -99,6 +105,7 @@ def cmd_schur(args):
 
 
 def cmd_segre(args):
+    _require_positive("--rank", args.rank)
     polys = segre_polys(args.rank, args.max_deg)
     payload = {
         "rank": args.rank,
@@ -132,6 +139,7 @@ def cmd_pushforward(args):
 
 
 def cmd_schur_decompose(args):
+    _require_positive("--rank", args.rank)
     rho = DimensionSequence((0, args.rank))
     expr = parse(args.expr)
     expanded = expand_expression(expr, rho)
@@ -148,6 +156,7 @@ def cmd_schur_decompose(args):
 
 
 def cmd_cone(args):
+    _require_positive("--grid", args.grid)
     fams = builtin_families()
     names = args.family.split(",")
     unknown = [n for n in names if n not in fams]
@@ -234,6 +243,7 @@ def cmd_verify(args):
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.samples is not None:
+        _require_positive("--samples", args.samples)
         kwargs["samples"] = args.samples
     checks = run_suite(args.suite, **kwargs)
     return _checks_report(checks, args.json)

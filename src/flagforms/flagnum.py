@@ -4,8 +4,11 @@ curvature, and Monte Carlo fiber integration.
 All pointwise work happens over the chart center of the base (z = 0); the
 ambient metric is the synthetic truncation delta - sum c[j,k,a,b] z_j
 conj(z_k), exactly quadratic in z, so z-derivatives of metrics are
-analytic while fiber-direction derivatives use fourth-order central
-finite differences.
+analytic.  Fiber-direction derivatives come two ways: exactly, from the
+frames being affine in zeta (``_exact_coeffs``, the Monte Carlo
+integrand), and by fourth-order central finite differences on the metric
+(``curvature_at``, and the audit that checks the exact route on the first
+Monte Carlo chunk).
 
 Monte Carlo samples are drawn in fixed-size chunks with per-chunk
 counter-keyed random streams, so an estimate is bit-reproducible for a
@@ -39,6 +42,10 @@ FD_STEP = 1e-3
 FD_HERMITIAN_TOL = 1e-6
 #: Monte Carlo chunk size (fixed so results never depend on a worker split)
 MC_CHUNK = 65536
+#: samples of the first chunk on which the exact curvature is audited by
+#: finite differences, and the relative defect at which the audit fails
+AUDIT_SAMPLES = 64
+AUDIT_TOL = 1e-6
 
 
 class FlagChart:
@@ -137,7 +144,9 @@ def _ambient_metric(C, z):
     He = np.zeros(z.shape[:-1] + (C.r, C.r), dtype=complex)
     He[...] = np.eye(C.r)
     if np.any(z != 0):
-        He = He - np.einsum("...j,...k,jkab->...ab", z, np.conj(z), C.coeffs)
+        n, r = C.n, C.r
+        zz = (z[..., :, None] * np.conj(z)[..., None, :]).reshape(z.shape[:-1] + (n * n,))
+        He = He - (zz @ C.coeffs.reshape(n * n, r * r)).reshape(He.shape)
     return He
 
 
@@ -221,6 +230,18 @@ def _herm_t(X):
     return np.conj(np.swapaxes(X, -1, -2))
 
 
+def _mm(A, B):
+    """A @ B over stacks of small matrices.  Batched matmul pays a fixed
+    cost per matrix, so below four columns of A one broadcast product per
+    column is several times faster; larger factors use matmul."""
+    if A.shape[-1] > 3:
+        return A @ B
+    acc = A[..., :, :1] * B[..., :1, :]
+    for l in range(1, A.shape[-1]):
+        acc = acc + A[..., :, l : l + 1] * B[..., l : l + 1, :]
+    return acc
+
+
 class _MetricEvaluator:
     """Evaluates the universal-bundle metric at offsets of (z, zeta) around
     a batch of fiber points, for the finite-difference stencils.
@@ -248,111 +269,166 @@ class _MetricEvaluator:
     def _h(self, kind, coord):
         return self.h_zeta[coord] if kind == "v" else self.h_z[coord]
 
-    def at(self, zeta_offsets=(), z_offsets=()):
-        """Metric at zeta + sum(offsets); offsets are (coord, shift) with
-        shift a scalar or per-sample array."""
-        zeta = self.zeta
-        if zeta_offsets:
-            zeta = zeta.copy()
-            for coord, shift in zeta_offsets:
-                zeta[..., coord] = zeta[..., coord] + shift
-        z = np.zeros(self.zeta.shape[:-1] + (self.C.n,), dtype=complex)
-        for coord, shift in z_offsets:
-            z[..., coord] = z[..., coord] + shift
-        chart = self.chart
-        V = _frames_batch(chart, zeta)
-        if z_offsets:
-            He = _ambient_metric(self.C, z)
-            G = np.einsum("...la,...lm,...mb->...ab", V, He, np.conj(V))
+    def metrics(self, moves):
+        """Metrics at the points shifted by each move, stacked on a new
+        leading axis.  A move is a tuple of (kind, coord, shift) with shift
+        a scalar or a per-sample array; the shifts of one move add up."""
+        zeta = np.repeat(self.zeta[None], len(moves), axis=0)
+        z = np.zeros(zeta.shape[:-1] + (self.C.n,), dtype=complex)
+        for i, move in enumerate(moves):
+            for kind, coord, shift in move:
+                target = zeta if kind == "v" else z
+                target[i, ..., coord] = target[i, ..., coord] + shift
+        V = _frames_batch(self.chart, zeta)
+        if np.any(z):
+            He_Vbar = np.einsum("...lm,...mb->...lb", _ambient_metric(self.C, z), np.conj(V))
+            G = np.einsum("...la,...lb->...ab", V, He_Vbar)
         else:
             G = np.einsum("...la,...lb->...ab", V, np.conj(V))
         return _metric_from_gram(G, self.q_idx, self.s_idx)
+
+    def at(self):
+        """Metric at the points themselves."""
+        return self.metrics([()])[0]
 
     @staticmethod
     def _div(arr, h):
         h = np.asarray(h)
         return arr / h[..., None, None] if h.ndim else arr / h
 
+    @staticmethod
+    def _weighted(weights, values):
+        """Stencil sum over a stack of metrics, in stencil order."""
+        return sum(w * f for w, f in zip(weights, values))
+
     def d1(self, kind, coord):
         """Fourth-order Wirtinger first derivative along a zeta ('v') or
         z ('z') coordinate."""
         h = self._h(kind, coord)
-        key = "zeta_offsets" if kind == "v" else "z_offsets"
-        dx = self._div(
-            sum(w * self.at(**{key: ((coord, m * h),)}) for m, w in _W1), 12 * h
+        F = self.metrics(
+            [((kind, coord, m * h * unit),) for unit in (1, 1j) for m, _ in _W1]
         )
-        dy = self._div(
-            sum(w * self.at(**{key: ((coord, m * h * 1j),)}) for m, w in _W1),
-            12 * h,
-        )
+        weights = [w for _, w in _W1]
+        dx = self._div(self._weighted(weights, F[: len(_W1)]), 12 * h)
+        dy = self._div(self._weighted(weights, F[len(_W1) :]), 12 * h)
         return 0.5 * (dx - 1j * dy)
 
     def d2_mixed(self, kind_a, coord_a, kind_b, coord_b):
         """Fourth-order mixed derivative d/d(coord_a) d/dconj(coord_b)."""
         if kind_a == kind_b and coord_a == coord_b:
             h = self._h(kind_a, coord_a)
-            key = "zeta_offsets" if kind_a == "v" else "z_offsets"
-            dxx = self._div(
-                sum(w * self.at(**{key: ((coord_a, m * h),)}) for m, w in _W2),
-                12 * h * h,
+            F = self.metrics(
+                [((kind_a, coord_a, m * h * unit),) for unit in (1, 1j) for m, _ in _W2]
             )
-            dyy = self._div(
-                sum(w * self.at(**{key: ((coord_a, m * h * 1j),)}) for m, w in _W2),
-                12 * h * h,
-            )
+            weights = [w for _, w in _W2]
+            dxx = self._div(self._weighted(weights, F[: len(_W2)]), 12 * h * h)
+            dyy = self._div(self._weighted(weights, F[len(_W2) :]), 12 * h * h)
             return 0.25 * (dxx + dyy)
 
         h_a = self._h(kind_a, coord_a)
         h_b = self._h(kind_b, coord_b)
-
-        def offset_pair(mult_a, dir_a, mult_b, dir_b):
-            za, zb = [], []
-            entry_a = (coord_a, mult_a * h_a * dir_a)
-            entry_b = (coord_b, mult_b * h_b * dir_b)
-            (za if kind_a == "v" else zb).append(entry_a)
-            (za if kind_b == "v" else zb).append(entry_b)
-            return self.at(zeta_offsets=tuple(za), z_offsets=tuple(zb))
-
-        def mixed(dir_a, dir_b):
-            acc = 0.0
-            for ma, wa in _W1:
-                for mb, wb in _W1:
-                    acc = acc + wa * wb * offset_pair(ma, dir_a, mb, dir_b)
-            return self._div(acc, 144 * h_a * h_b)
-
-        return 0.25 * (
-            mixed(1, 1)
-            + 1j * mixed(1, 1j)
-            - 1j * mixed(1j, 1)
-            + mixed(1j, 1j)
+        units = ((1, 1), (1, 1j), (1j, 1), (1j, 1j))
+        F = self.metrics(
+            [
+                ((kind_a, coord_a, ma * h_a * dir_a), (kind_b, coord_b, mb * h_b * dir_b))
+                for dir_a, dir_b in units
+                for ma, _ in _W1
+                for mb, _ in _W1
+            ]
         )
+        weights = [wa * wb for _, wa in _W1 for _, wb in _W1]
+        mixed = [
+            self._div(self._weighted(weights, block), 144 * h_a * h_b)
+            for block in np.split(F, len(units))
+        ]
+        return 0.25 * (mixed[0] + 1j * mixed[1] - 1j * mixed[2] + mixed[3])
 
 
-def _z_hessian(spec, C, zeta):
-    """Analytic coefficient of z_j conj(z_k) in the metric at z = 0,
-    shaped (..., n, n, rk, rk)."""
-    chart = chart_for(spec, C.n)
-    V = _frames_batch(chart, zeta)
-    Ghat = -np.einsum("...la,jklm,...mb->...jkab", V, C.coeffs, np.conj(V))
+def _bundle_projector(spec, G):
+    """The r-column matrix K with H = K G K^H for the induced metric H of
+    the bundle, the inverse of the sub block D of G embedded in an r x r
+    zero matrix (both zero outside the bundle's frame block), and H.
+
+    K is the identity on the quotient block and -B D^-1 on the sub block,
+    so K G K^H = A - B D^-1 B^H, the Schur complement.  For a sub-bundle
+    there is no sub block: K selects the Gram block and D^-1 is empty.
+    """
     q_idx, s_idx = _bundle_slices(spec)
-    Gqq = Ghat[..., q_idx, :][..., :, q_idx]
-    if not s_idx:
-        return Gqq
-    G0 = gram(chart, zeta)
-    B0 = G0[..., q_idx, :][..., :, s_idx]
-    D0 = G0[..., s_idx, :][..., :, s_idx]
-    X = np.linalg.solve(D0, _herm_t(B0))  # (s, q)
-    Xh = _herm_t(X)  # (q, s) = B0 D0^{-1}
-    Gqs = Ghat[..., q_idx, :][..., :, s_idx]
-    Gsq = Ghat[..., s_idx, :][..., :, q_idx]
-    Gss = Ghat[..., s_idx, :][..., :, s_idx]
-    # einsum over the trailing matrix axes, keeping (..., n, n) in place
-    return (
-        Gqq
-        - np.einsum("...jkab,...bc->...jkac", Gqs, X)
-        - np.einsum("...ab,...jkbc->...jkac", Xh, Gsq)
-        + np.einsum("...ab,...jkbc,...cd->...jkad", Xh, Gss, X)
-    )
+    r = G.shape[-1]
+    shape = G.shape[:-2]
+    quot = slice(q_idx[0], q_idx[-1] + 1)
+    K = np.zeros(shape + (len(q_idx), r), dtype=complex)
+    K[..., :, quot] = np.eye(len(q_idx))
+    Dinv = np.zeros(shape + (r, r), dtype=complex)
+    H = G[..., quot, quot]
+    if s_idx:
+        sub = slice(s_idx[0], r)
+        D_inv = np.linalg.inv(G[..., sub, sub])
+        Dinv[..., sub, sub] = D_inv
+        K[..., :, sub] = -_mm(G[..., quot, sub], D_inv)
+        H = H + _mm(K[..., :, sub], G[..., sub, quot])
+    return K, Dinv, H
+
+
+def _z_hessian(K, V, C):
+    """Analytic coefficient of z_j conj(z_k) in the metric K G K^H at
+    z = 0, shaped (..., n, n, rk, rk): -W c[j,k] W^H with W = K V^T, since
+    the ambient metric enters the Gram matrix as V^T He conj(V)."""
+    W = _mm(K, np.swapaxes(V, -1, -2))  # (..., rk, r)
+    WC = np.moveaxis(np.tensordot(W, C.coeffs, axes=([-1], [2])), -4, -2)
+    return -_mm(WC, _herm_t(W)[..., None, None, :, :])
+
+
+def _exact_coeffs(spec, C, zeta):
+    """Curvature coefficients at z = 0 over a batch of fiber points, with
+    the vertical block from the exact derivatives of the induced metric.
+
+    Same layout and meaning as ``_curvature_coeffs(..., include_mixed=False)``.
+    The frames are affine in zeta, V = I + sum_p zeta_p E_p with E_p the
+    single 1 at (lam_p - 1, mu_p - 1), so the Gram matrix G = V^T conj(V)
+    has dG/dzeta_p = E_p^T conj(V) (row mu_p - 1 only), the conjugate
+    derivative its adjoint, and the constant mixed derivative E_p^T E_q.
+    With H = K G K^H (see ``_bundle_projector``), c_p = K e_(mu_p) and
+    g_p = conj(K) conj(V)[lam_p] this gives
+
+        dH/dzeta_p                = c_p g_p^T
+        d^2 H/dzeta_p dzetabar_q  = a_pq c_p c_q^H - b_pq conj(g_q) g_p^T
+
+    with a_pq = [lam_p = lam_q] - conj(V)[lam_p]^T D^-1 V[lam_q] and
+    b_pq = D^-1[mu_q, mu_p]; the terms with D^-1 come from the product
+    rule on the Schur complement, d(D^-1) = -D^-1 dD D^-1.  The curvature
+    coefficient -d dbar H H^-1 + dH H^-1 dbar H H^-1 is then a sum of two
+    outer products per pair (p, q), built for all pairs at once.
+    """
+    chart = chart_for(spec, C.n)
+    zeta = np.asarray(zeta, dtype=complex)
+    n, d = chart.n, chart.d
+    V = _frames_batch(chart, zeta)
+    K, Dinv, H0 = _bundle_projector(spec, np.einsum("...la,...lb->...ab", V, np.conj(V)))
+    H0inv = np.linalg.inv(H0)
+
+    coeffs = {}
+    if d:
+        lam = [pair[0] - 1 for pair in chart.pairs]
+        mu = [pair[1] - 1 for pair in chart.pairs]
+        w = np.conj(V[..., lam, :])  # (..., d, r): rows of conj(V)
+        c = np.swapaxes(K[..., :, mu], -1, -2)  # (..., d, rk)
+        g = _mm(w, _herm_t(K))  # (..., d, rk)
+        g_inv = _mm(g, H0inv)
+        gamma = _mm(g_inv, _herm_t(g))
+        alpha = np.equal.outer(lam, lam).astype(float) - _mm(_mm(w, Dinv), _herm_t(w))
+        beta = np.swapaxes(Dinv[..., mu, :][..., :, mu], -1, -2)
+        M = np.einsum("...pq,...pa,...qb->...pqab", gamma - alpha, c, _mm(np.conj(c), H0inv))
+        M += np.einsum("...pq,...qa,...pb->...pqab", beta, np.conj(g), g_inv)
+        for p in range(d):
+            for q in range(d):
+                coeffs[(n + p, n + q)] = M[..., p, q, :, :]
+
+    M_z = -_mm(_z_hessian(K, V, C), H0inv[..., None, None, :, :])
+    for j in range(n):
+        for k in range(n):
+            coeffs[(j, k)] = M_z[..., j, k, :, :]
+    return coeffs, H0, H0inv
 
 
 def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP, include_mixed=True):
@@ -389,7 +465,8 @@ def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP, include_mixed=True):
 
     # horizontal block dz_j ^ dzbar_k (analytic: the metric is exactly
     # quadratic in z and its first z-derivatives vanish at z = 0)
-    Hhat = _z_hessian(spec, C, zeta)
+    K, _, _ = _bundle_projector(spec, gram(chart, zeta))
+    Hhat = _z_hessian(K, _frames_batch(chart, zeta), C)
     for j in range(n):
         for k in range(n):
             coeffs[(j, k)] = -(Hhat[..., j, k, :, :] @ H0inv)
@@ -412,6 +489,30 @@ def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP, include_mixed=True):
     return coeffs, H0, H0inv
 
 
+def _audit_coeffs(spec, C, zeta, exact, fd_step):
+    """Finite-difference audit of exact coefficients at the points zeta
+    (a prefix of the batch that ``exact`` was computed on).
+
+    Returns (mixed, vertical), both relative to the largest stencil
+    coefficient at these points: the largest mixed base-fiber coefficient,
+    which must vanish in this metric model, and the largest deviation of
+    the exact vertical block from the stencils.  The scale is shared by
+    all points because the stencils lose relative accuracy far out in the
+    chart, where the two terms of each coefficient nearly cancel.
+    """
+    n = chart_for(spec, C.n).n
+    count = len(zeta)
+    fd, _, _ = _curvature_coeffs(spec, C, zeta, fd_step, include_mixed=True)
+    scale = max(max((float(np.abs(v).max()) for v in fd.values()), default=0.0), 1e-300)
+    mixed = vertical = 0.0
+    for (a, b), v in fd.items():
+        if (a < n) != (b < n):
+            mixed = max(mixed, float(np.abs(v).max()))
+        elif a >= n:
+            vertical = max(vertical, float(np.abs(exact[(a, b)][:count] - v).max()))
+    return mixed / scale, vertical / scale
+
+
 def _symmetrize_coeffs(coeffs, H0, H0inv):
     """Enforce the Hermitian symmetry of a Chern curvature in a holomorphic
     frame, M[b,a] = H M[a,b]^H H^-1 (the plain conjugate-transpose relation
@@ -428,7 +529,7 @@ def _symmetrize_coeffs(coeffs, H0, H0inv):
         if M_ba is None:
             out[(a, b)] = M_ab
             continue
-        partner = H0 @ _herm_t(M_ba) @ H0inv
+        partner = _mm(_mm(H0, _herm_t(M_ba)), H0inv)
         defect = max(defect, float(np.abs(M_ab - partner).max()))
         out[(a, b)] = 0.5 * (M_ab + partner)
     rel = defect / scale if scale > 0 else 0.0
@@ -629,6 +730,10 @@ def _batch_chern_forms(chart, rank, coeffs, count):
 
 @dataclass
 class SamplerConfig:
+    """Monte Carlo settings.  ``fd_step`` is the step of the finite-difference
+    audit on the first chunk; the integrand itself uses the exact
+    curvature."""
+
     num_samples: int
     seed: int
     chunk: int = MC_CHUNK
@@ -717,6 +822,8 @@ class PushforwardEstimate:
     degree: int
     fiber_dim: int
     mixed_block_defect: float = 0.0
+    vertical_audit_defect: float = 0.0
+    hermitian_defect: float = 0.0
 
     def stderr_total(self):
         return math.sqrt(sum(se**2 for se in self.stderr.values()))
@@ -742,6 +849,8 @@ class PushforwardEstimate:
             "degree": self.degree,
             "fiber_dim": self.fiber_dim,
             "mixed_block_defect": self.mixed_block_defect,
+            "vertical_audit_defect": self.vertical_audit_defect,
+            "hermitian_defect": self.hermitian_defect,
         }
 
 
@@ -758,14 +867,21 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     """Monte Carlo fiber integral of a polynomial in the Chern forms of
     universal bundles, as a (k, k)-form on the base generators.
 
-    Per sample, the fiber point is drawn from the product Fubini-Study
-    proposal, every universal curvature in the expression is built by
-    finite differences, Chern forms are wedged per the expression, the
-    coefficient of each dz_J ^ dzbar_K against the canonical vertical
-    volume prod_p (i/2) dzeta_p ^ dzetabar_p is extracted, importance
-    weighted, and averaged.  Mixed base-fiber curvature blocks vanish
-    identically at z = 0 in this metric model; they are audited by finite
-    differences on the first chunk and set to zero elsewhere.
+    Per sample, the fiber point is drawn from a Fubini-Study proposal,
+    every universal curvature in the expression is built from the exact
+    derivatives of the induced metric, Chern forms are wedged per the
+    expression, the coefficient of each dz_J ^ dzbar_K against the
+    canonical vertical volume prod_p (i/2) dzeta_p ^ dzetabar_p is
+    extracted, importance weighted, and averaged.  Mixed base-fiber
+    curvature blocks vanish identically at z = 0 in this metric model and
+    are set to zero.
+
+    On the first AUDIT_SAMPLES points of the first chunk, finite
+    differences with step ``fd_step`` recompute the curvature: the mixed
+    blocks must vanish and the exact vertical block must match, both to
+    AUDIT_TOL relative, or ArithmeticError is raised.  Both defects are
+    reported on the estimate, with the Hermitian defect of the exact
+    curvature before symmetrization.
     """
     cfg = _as_sampler(sampler)
     if isinstance(F_expr, str):
@@ -805,7 +921,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     sumsq = {key: 0.0 for key in keys}
     n_finite = 0
     n_nonfinite = 0
-    mixed_defect = 0.0
+    mixed_defect = vertical_defect = hermitian_defect = 0.0
 
     total = cfg.num_samples
     n_chunks = (total + cfg.chunk - 1) // cfg.chunk
@@ -825,26 +941,15 @@ def pushforward_numeric(chart, F_expr, C, sampler):
 
         curv = {}
         for spec in specs:
-            coeffs, H0, H0inv = _curvature_coeffs(
-                spec, C, zeta, cfg.fd_step, include_mixed=False
-            )
-            coeffs, _ = _symmetrize_coeffs(coeffs, H0, H0inv)
+            coeffs, H0, H0inv = _exact_coeffs(spec, C, zeta)
             if chunk_idx == 0:
-                audit, _, _ = _curvature_coeffs(
-                    spec, C, zeta[: min(count, 64)], cfg.fd_step, include_mixed=True
+                mixed, vertical = _audit_coeffs(
+                    spec, C, zeta[:AUDIT_SAMPLES], coeffs, cfg.fd_step
                 )
-                scale = max(
-                    (float(np.abs(v).max()) for v in audit.values()), default=1.0
-                )
-                worst = max(
-                    (
-                        float(np.abs(v).max())
-                        for (a, b), v in audit.items()
-                        if (a < n) != (b < n)
-                    ),
-                    default=0.0,
-                )
-                mixed_defect = max(mixed_defect, worst / max(scale, 1e-300))
+                mixed_defect = max(mixed_defect, mixed)
+                vertical_defect = max(vertical_defect, vertical)
+            coeffs, herm = _symmetrize_coeffs(coeffs, H0, H0inv)
+            hermitian_defect = max(hermitian_defect, herm)
             curv[spec] = _batch_chern_forms(chart, spec.rank, coeffs, count)
 
         def chern_atom(j, ref):
@@ -880,10 +985,15 @@ def pushforward_numeric(chart, F_expr, C, sampler):
             sums[key] += complex(vals.sum())
             sumsq[key] += float((np.abs(vals) ** 2).sum())
 
-    if mixed_defect > 1e-6:
+    if mixed_defect > AUDIT_TOL:
         raise ArithmeticError(
             f"mixed base-fiber curvature blocks do not vanish (defect {mixed_defect:g}); "
             "the pointwise model assumption is violated"
+        )
+    if vertical_defect > AUDIT_TOL:
+        raise ArithmeticError(
+            f"exact vertical curvature differs from finite differences "
+            f"(relative defect {vertical_defect:g})"
         )
 
     terms = {}
@@ -906,6 +1016,8 @@ def pushforward_numeric(chart, F_expr, C, sampler):
         degree=deg,
         fiber_dim=d,
         mixed_block_defect=mixed_defect,
+        vertical_audit_defect=vertical_defect,
+        hermitian_defect=hermitian_defect,
     )
 
 

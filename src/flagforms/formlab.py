@@ -592,7 +592,10 @@ def _evaluate_on_frame(gamma, frames):
 
 
 def positivity_values(gamma, samples=1000, seed=0):
-    """Calibrated evaluation of a (k,k)-form on random holomorphic k-frames."""
+    """Calibrated evaluation of a (k,k)-form on random holomorphic k-frames;
+    the zero form, which has no bidegree of its own, is 0 on every frame."""
+    if not gamma.terms:
+        return np.zeros(samples)
     p, q = gamma.bidegree()
     if p != q:
         raise ValueError(f"positivity needs a (k,k)-form, got bidegree ({p},{q})")

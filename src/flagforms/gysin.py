@@ -23,6 +23,7 @@ rule on coarser flags.
 """
 
 import warnings
+from functools import lru_cache
 from itertools import combinations
 
 from .charpoly import ChernPoly, SchurVector, gen_schur, schur, schur_decompose
@@ -30,6 +31,7 @@ from .combinat import (
     Partition,
     as_dimension_sequence,
     complete_sequence,
+    dimension_sequences,
     lambda_from_sigma_tilde,
     nu_from_rho,
     reverse,
@@ -392,18 +394,30 @@ def grassmann_c1c2_pushforward(r, n, s, alpha, beta):
     return pushed, vec
 
 
+#: ranks whose conventions the report lists: the oracle calibration sign of
+#: every flag type of these ranks, and epsilon(r)
+_REPORTED_RANKS = (2, 3, 4)
+
+
+@lru_cache(maxsize=1)
+def _reported_conventions():
+    flag_types = sorted(
+        rho.rho for r in _REPORTED_RANKS for rho in dimension_sequences(r, min_steps=2)
+    )
+    calibration = tuple((str(rho), oracle_calibration_sign(rho)) for rho in flag_types)
+    epsilon = tuple((str(r), epsilon_for_rank(r, max_weight=2)) for r in _REPORTED_RANKS)
+    return calibration, epsilon
+
+
 def convention_report():
-    """The engine's sign conventions, for embedding into CLI reports."""
-    report = {
+    """The engine's sign conventions, for embedding into CLI reports.
+
+    The same in every call: the calibration sign of every flag type of
+    rank 2 to 4 and epsilon(2..4), computed once per process.
+    """
+    calibration, epsilon = _reported_conventions()
+    return {
         "segre": "s(t) = c(t)^-1, so s_1 = -c_1",
-        "oracle_calibration": {
-            str(rho): sign for rho, sign in sorted(_CALIBRATION_CACHE.items())
-        },
-        "epsilon": {},
+        "oracle_calibration": dict(calibration),
+        "epsilon": dict(epsilon),
     }
-    for r in (2, 3, 4):
-        try:
-            report["epsilon"][str(r)] = epsilon_for_rank(r, max_weight=2)
-        except Exception:  # pragma: no cover - diagnostic path
-            report["epsilon"][str(r)] = None
-    return report

@@ -148,3 +148,52 @@ def test_curvature_command_with_point(tmp_path, capsys):
     )
     assert code == 0
     assert "max_center_formula_deviation" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--json", "cone", "--grid", "0", "--family", "fcone-r2", "--target", "1,0"], "--grid"),
+        (["verify", "--suite", "gysin-numeric", "--samples", "0"], "--samples"),
+        (["schur", "--rank", "0", "--sigma", "1"], "--rank"),
+        (["segre", "--rank", "-2", "--max-deg", "2"], "--rank"),
+    ],
+)
+def test_non_positive_counts_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be a positive integer, got {argv[argv.index(flag) + 1]}\n"
+
+
+def test_conventions_do_not_depend_on_earlier_work(monkeypatch, capsys):
+    from flagforms import gysin
+
+    # start from an empty calibration cache, as in a fresh process
+    monkeypatch.setattr(gysin, "_CALIBRATION_CACHE", {})
+    before = gysin.convention_report()
+    code, _, _ = run(capsys, "--json", "verify", "--suite", "oracle")
+    assert code == 0
+    assert gysin.convention_report() == before
+    assert len(before["oracle_calibration"]) == 11
+    assert before["epsilon"] == {"2": -1, "3": -1, "4": 1}
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    import flagforms
+
+    src = os.path.dirname(os.path.dirname(flagforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagforms", "schur", "--sigma", "1", "--rank", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "polynomial: c1" in proc.stdout

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flagforms.combinat import DimensionSequence, complete_sequence
+from flagforms import flagnum
+from flagforms.combinat import DimensionSequence, complete_sequence, dimension_sequences
 from flagforms.flagnum import (
     ChartPoint,
     FlagChart,
@@ -470,3 +471,79 @@ def test_pushforward_numeric_fiber_volume_ignores_base_curvature():
     for (s, t), v in est.form.terms.items():
         if (s, t) != (0, 0):
             assert abs(v) < 1e-12
+
+
+def _every_bundle(max_rank=4):
+    for r in range(2, max_rank + 1):
+        for rho in dimension_sequences(r, min_steps=2):
+            for ell in range(rho.m):
+                for l in range(ell + 1, rho.m + 1):
+                    yield UniversalBundleSpec(rho, ell, l)
+
+
+def test_exact_coefficients_match_finite_differences_every_bundle():
+    # the closed-form vertical block (and the analytic horizontal one)
+    # against the fourth-order stencils, at seeded off-center fiber points,
+    # relative to each point's largest coefficient
+    specs = list(_every_bundle())
+    assert len(specs) == 52
+    worst = 0.0
+    for i, spec in enumerate(specs):
+        C = random_tensor(2, spec.rho.r, 100 + i)
+        chart = chart_for(spec, 2)
+        rng = np.random.default_rng(i)
+        zeta = 0.7 * (rng.standard_normal((3, chart.d)) + 1j * rng.standard_normal((3, chart.d)))
+        exact, H, Hinv = flagnum._exact_coeffs(spec, C, zeta)
+        fd, H_fd, _ = flagnum._curvature_coeffs(spec, C, zeta, include_mixed=False)
+        assert exact.keys() == fd.keys()
+        assert np.abs(H - H_fd).max() <= 1e-12 * np.abs(H_fd).max()
+        scale = np.max([np.abs(v).max(axis=(-2, -1)) for v in fd.values()], axis=0)
+        for key, v in fd.items():
+            gap = np.abs(exact[key] - v).max(axis=(-2, -1)) / scale
+            worst = max(worst, float(gap.max()))
+    assert worst <= 1e-8
+
+
+def test_exact_coefficients_at_center_equal_center_formula():
+    for i, spec in enumerate(_every_bundle()):
+        C = random_tensor(2, spec.rho.r, 200 + i)
+        chart = chart_for(spec, 2)
+        coeffs, _, _ = flagnum._exact_coeffs(spec, C, np.zeros(chart.d))
+        got = flagnum._form_matrix_from_coeffs(chart, spec.rank, coeffs)
+        want = curvature_center(spec, C)
+        for b in range(spec.rank):
+            for a in range(spec.rank):
+                diff = (got.entries[b][a] - want.entries[b][a]).norm()
+                assert diff <= 1e-12 * max(want.norm(), 1.0), (spec, b, a)
+
+
+def test_pushforward_numeric_reports_audit_and_hermitian_defects():
+    chart = FlagChart((0, 1, 3), 2)
+    C = griffiths_sample(2, 3, terms=2, seed=7)
+    est = pushforward_numeric(
+        chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=2000, seed=3)
+    )
+    data = est.to_json()
+    assert 0.0 < data["vertical_audit_defect"] <= 1e-8
+    assert 0.0 <= data["hermitian_defect"] <= 1e-8
+    assert data["mixed_block_defect"] <= 1e-8
+
+
+def test_audit_rejects_a_wrong_vertical_block(monkeypatch):
+    exact = flagnum._exact_coeffs
+
+    def off_by_one_percent(spec, C, zeta):
+        coeffs, H0, H0inv = exact(spec, C, zeta)
+        n = C.n
+        for (a, b), v in coeffs.items():
+            if a >= n and b >= n:
+                coeffs[(a, b)] = 1.01 * v
+        return coeffs, H0, H0inv
+
+    monkeypatch.setattr(flagnum, "_exact_coeffs", off_by_one_percent)
+    chart = FlagChart((0, 1, 3), 2)
+    C = griffiths_sample(2, 3, terms=2, seed=7)
+    with pytest.raises(ArithmeticError, match="vertical"):
+        pushforward_numeric(
+            chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=500, seed=3)
+        )

@@ -230,3 +230,20 @@ def test_wedge_associative():
     b = ExtForm.d(space, "z2") - ExtForm.dbar(space, "z3")
     c = ExtForm.d(space, "z3") * ExtForm.dbar(space, "z1") + ExtForm.one(space)
     assert ((a * b) * c - a * (b * c)).norm() <= 1e-14
+
+
+def test_positivity_values_of_a_zero_push():
+    # c2 of the line bundle Q3 vanishes, so over the Grassmann bundle of
+    # 3-planes in a rank-4 bundle the push of c1(Q3)^2 c2(Q3) is the zero
+    # form: it takes the value 0 on every one of the sampled frames
+    from flagforms.gysin import grassmann_c1c2_pushforward
+    from flagforms.verify import _eval_chern_poly_in_forms
+
+    pushed, vec = grassmann_c1c2_pushforward(4, 4, 3, 2, 1)
+    assert pushed.is_zero() and not vec.items()
+    space = GeneratorSpace.base(4)
+    cf = chern_forms(base_curvature_matrix(griffiths_sample(4, 4, terms=2, seed=3), space))
+    gamma = _eval_chern_poly_in_forms(pushed, cf, space)
+    vals = positivity_values(gamma, samples=400, seed=1)
+    assert vals.shape == (400,)
+    assert not vals.any()
