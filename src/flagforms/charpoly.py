@@ -9,7 +9,7 @@ sum(i * a_i).  The stored order for serialization is graded lexicographic.
 
 from fractions import Fraction
 
-from .combinat import Partition, partitions_of
+from .combinat import Partition, partitions_of, perm_sign
 
 
 def _norm_coeff(c):
@@ -354,7 +354,9 @@ def gen_schur(sigma, r):
 
     Homogeneous of weighted degree sum(sigma); identically zero whenever
     that total is negative (every determinant term then hits a negative
-    Segre index).
+    Segre index).  The push-forward only evaluates it on partitions, after
+    ``straighten``; on other sequences it is the reference that the
+    straightening rule is tested against.
     """
     sigma = tuple(int(x) for x in sigma)
     key = (sigma, r)
@@ -379,6 +381,32 @@ def gen_schur(sigma, r):
         result = det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
     _GEN_SCHUR_CACHE[key] = result
     return result
+
+
+def straighten(sigma):
+    """Straighten an integer sequence for ``gen_schur``: returns
+    (sign, partition) with gen_schur(sigma) == sign * gen_schur(partition),
+    the partition a tuple without trailing zeros, or (0, ()) when
+    gen_schur(sigma) vanishes.
+
+    Row i of the determinant depends on sigma_i only through l_i =
+    sigma_i - i, so the determinant is antisymmetric in the l_i
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3): it vanishes
+    when two l_i coincide, and otherwise sorting the l_i decreasingly gives
+    a weakly decreasing sequence whose last row is zero when its last entry
+    is negative.  Trailing zero parts add unit diagonal blocks.
+    """
+    shifted = [x - i for i, x in enumerate(sigma)]
+    if len(set(shifted)) < len(shifted):
+        return 0, ()
+    # sorting decreasingly is sorting the negated values increasingly
+    sign = perm_sign(-x for x in shifted)
+    parts = [x + i for i, x in enumerate(sorted(shifted, reverse=True))]
+    while parts and parts[-1] == 0:
+        parts.pop()
+    if parts and parts[-1] < 0:
+        return 0, ()
+    return sign, tuple(parts)
 
 
 class SchurVector:

@@ -206,6 +206,15 @@ def reverse(seq):
     return tuple(reversed(tuple(seq)))
 
 
+def perm_sign(seq):
+    """Sign of the permutation that sorts a sequence of distinct values
+    into increasing order: (-1) to the number of inversions.  For a
+    permutation w, in 0- or 1-based one-line notation, this is sgn(w)."""
+    seq = tuple(seq)
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
 def root_blocks(rho):
     """The intervals of root indices carried by the successive quotients.
 

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .combinat import perm_sign
+
 #: tolerance for Hermitian-symmetry validation of curvature tensors
 HERMITIAN_TOL = 1e-10
 #: tolerance under which a sampled positivity value counts as non-negative
@@ -458,28 +460,12 @@ def wedge_det(entries, one, zero):
         return one
     acc = zero
     for perm in permutations(range(k)):
-        sign = _perm_parity(perm)
+        sign = perm_sign(perm)
         prod = one
         for i in range(k):
             prod = prod * entries[i][perm[i]]
         acc = acc + prod * sign
     return acc
-
-
-def _perm_parity(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def chern_forms(M):
@@ -578,16 +564,20 @@ def _evaluate_on_frame(gamma, frames):
     """Evaluate a (k,k)-form on batched k-frames.
 
     ``frames`` has shape (N, k, n) with rows the frame vectors; the value
-    for term (S, T) is coeff * det(V[:, S]) * conj(det(V[:, T])).
+    for term (S, T) is coeff * det(V[:, S]) * conj(det(V[:, T])).  Each
+    column subset's minors are computed once per call.
     """
     N = frames.shape[0]
     vals = np.zeros(N, dtype=complex)
+    minors = {}
+
+    def minor(mask):
+        if mask not in minors:
+            minors[mask] = np.linalg.det(frames[:, :, _bit_indices(mask)])
+        return minors[mask]
+
     for (s, t), coeff in gamma.terms.items():
-        cols_s = _bit_indices(s)
-        cols_t = _bit_indices(t)
-        det_s = np.linalg.det(frames[:, :, cols_s])
-        det_t = np.linalg.det(frames[:, :, cols_t])
-        vals += coeff * det_s * np.conj(det_t)
+        vals += coeff * minor(s) * np.conj(minor(t))
     return vals
 
 

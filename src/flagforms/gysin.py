@@ -5,7 +5,9 @@ Two independent routes are implemented:
 * ``pushforward_dp`` applies the determinantal rule monomial by monomial:
   the coefficient b_lambda of xi^lambda contributes
   b_lambda * gen_schur(reverse(lambda - nu)), where nu is the sequence
-  determined by the dimension sequence.
+  determined by the dimension sequence.  Each index sequence is first
+  straightened to +-1 times a partition, or to 0 (``charpoly.straighten``),
+  so only one determinant per distinct partition is evaluated.
 
 * ``pushforward_oracle`` symmetrizes with the Weyl group: summing
   sgn(w) * w(F * Delta_within) over the sorted-block coset representatives
@@ -26,7 +28,14 @@ import warnings
 from functools import lru_cache
 from itertools import combinations
 
-from .charpoly import ChernPoly, SchurVector, gen_schur, schur, schur_decompose
+from .charpoly import (
+    ChernPoly,
+    SchurVector,
+    gen_schur,
+    schur,
+    schur_decompose,
+    straighten,
+)
 from .combinat import (
     Partition,
     as_dimension_sequence,
@@ -34,6 +43,7 @@ from .combinat import (
     dimension_sequences,
     lambda_from_sigma_tilde,
     nu_from_rho,
+    perm_sign,
     reverse,
     root_blocks,
     sigma_tilde,
@@ -57,6 +67,11 @@ def pushforward_dp(F, rho):
     represents an actual class on the flag bundle; anything else is pushed
     formally (with a warning), which matters for the oracle comparison on
     flags with blocks of size above one.
+
+    The index sequence of every monomial is straightened to a signed
+    partition or to zero; the signed coefficients are summed per partition,
+    and ``gen_schur`` is evaluated once for each partition with a nonzero
+    sum.
     """
     rho = as_dimension_sequence(rho)
     r = rho.r
@@ -69,10 +84,15 @@ def pushforward_dp(F, rho):
             stacklevel=2,
         )
     nu = nu_from_rho(rho)
-    acc = ChernPoly.zero(r)
+    by_partition = {}
     for exps, coeff in F.terms.items():
-        seq = reverse(tuple(e - n for e, n in zip(exps, nu)))
-        acc = acc + gen_schur(seq, r) * coeff
+        sign, parts = straighten(reverse(tuple(e - n for e, n in zip(exps, nu))))
+        if sign:
+            by_partition[parts] = by_partition.get(parts, 0) + sign * coeff
+    acc = ChernPoly.zero(r)
+    for parts, coeff in by_partition.items():
+        if coeff:
+            acc = acc + gen_schur(parts, r) * coeff
     return acc
 
 
@@ -103,23 +123,6 @@ def _coset_representatives(blocks, r):
                 pos += 1
         reps.append(tuple(w))
     return reps
-
-
-def _perm_sign(w):
-    seen = [False] * len(w)
-    sign = 1
-    for i in range(len(w)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = w[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _vandermonde_within(blocks, r):
@@ -218,7 +221,7 @@ def _oracle_raw(F, rho):
     numerator = RootPoly.zero(r)
     for w in _coset_representatives(blocks, r):
         term = apply_permutation(F * delta_p, w)
-        numerator = numerator + term * _perm_sign(w)
+        numerator = numerator + term * perm_sign(w)
     if numerator.is_zero():
         return ChernPoly.zero(r)
     quotient = numerator

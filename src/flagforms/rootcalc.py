@@ -141,15 +141,23 @@ def apply_permutation(poly, w):
 
 def is_block_symmetric(poly, rho):
     """Whether the polynomial is invariant under permutations of the roots
-    within each rho-block (checked on adjacent transpositions)."""
-    rho = as_dimension_sequence(rho)
-    r = rho.r
+    within each rho-block (checked on adjacent transpositions).
+
+    A transposition maps the terms to themselves exactly when every term's
+    swapped exponent carries the same coefficient, so each term is looked
+    up once per transposition and the first mismatch ends the check.
+    """
+    terms = poly.terms
     for block in root_blocks(rho):
         for a, b in zip(block, block[1:]):
-            w = list(range(1, r + 1))
-            w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
-            if apply_permutation(poly, tuple(w)) != poly:
-                return False
+            i, j = a - 1, b - 1
+            for exps, coeff in terms.items():
+                if exps[i] == exps[j]:
+                    continue
+                swapped = list(exps)
+                swapped[i], swapped[j] = exps[j], exps[i]
+                if terms.get(tuple(swapped)) != coeff:
+                    return False
     return True
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from flagforms.charpoly import (
     schur,
     schur_decompose,
     segre_polys,
+    straighten,
 )
 from flagforms.combinat import partitions_of, sigma_tilde
 
@@ -104,6 +106,29 @@ def test_gen_schur_reversal_identity(seq):
     rev = tuple(seq[k - 1 - i] + i - (k - 1 - i) for i in range(k))
     sign = (-1) ** (k * (k - 1) // 2)
     assert gen_schur(rev, r) == gen_schur(seq, r) * sign
+
+
+@pytest.mark.parametrize(
+    "r, lo, hi",
+    [(3, -2, 4), (4, -2, 3), (5, -2, 2), (5, -1, 3)],
+)
+def test_straighten_matches_determinant_on_index_boxes(r, lo, hi):
+    # every sequence in {lo..hi}^r, the vanishing ones included: the signed
+    # partition from the straightening rule has the same determinant
+    for seq in itertools.product(range(lo, hi + 1), repeat=r):
+        sign, parts = straighten(seq)
+        assert list(parts) == sorted(parts, reverse=True)
+        assert all(p > 0 for p in parts)
+        assert gen_schur(parts, r) * sign == gen_schur(seq, r), seq
+
+
+def test_straighten_examples():
+    assert straighten((2, 1)) == (1, (2, 1))
+    assert straighten((1, 2)) == (0, ())  # l = (1, 1)
+    assert straighten((0, 3)) == (-1, (2, 1))  # (0, 3) -> -(3 - 1, 0 + 1)
+    assert straighten((1, 0, 0)) == (1, (1,))
+    assert straighten((2, -3)) == (0, ())  # sorted last part -3 < 0
+    assert straighten(()) == (1, ())
 
 
 def test_schur_basis_dimension_matches_monomials():

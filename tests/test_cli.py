@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -197,3 +198,43 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "polynomial: c1" in proc.stdout
+
+
+#: sha256 of the canonical --json output of fixed commands; a refactor that
+#: keeps behaviour keeps these bytes
+GOLDEN_JSON = [
+    (["examples-paper"], "d45d39fe48e48b8ff0baa552728d5b3029d5cb862b5b9037f715bad8deec9985"),
+    (
+        ["pushforward", "--rho", "0,1,4", "--expr", "c1(Q1)^2*c2(Q1)^2"],
+        "07618bb666e6fd251a55a45d00aea1741061d2cfaefb588e8490f9441b90d59f",
+    ),
+    (
+        ["pushforward", "--rho", "0,1,4", "--expr", "c1(Q1)^3*c2(Q1)^2"],
+        "22d3b3634cf0ac9f4675c8f6c9e42b1198d16128b319f559eb0938ce12a27bd6",
+    ),
+    (
+        ["pushforward", "--rho", "0,2,4", "--expr", "c1(Q2)^3*c2(Q2)^2"],
+        "ab86e82177f9f654bc469c4c9cdc0841fb02801b86368bbd7ed5fef9adbdfccf",
+    ),
+    (
+        ["pushforward", "--rho", "0,2,4", "--expr", "c1(Q2)^4*c2(Q2)^2"],
+        "7035f081d847d465295465595d6454e31d9eefb575ce722be97f073763f5add3",
+    ),
+    (
+        ["pushforward", "--rho", "0,2,5,7", "--expr", "c1(U2/U1)^10*c2(U1)^5*c1(E)^2"],
+        "a7b831baf7e284649a449a570baf477fbab8abaff034f3a49790a7b793d40d9b",
+    ),
+    (
+        ["pushforward", "--rho", "0,2,5,8", "--expr", "c1(U2/U1)^10*c2(U1)^5*c1(E)^3"],
+        "b16adc134f970c24ce93fc46c1c84d1dcc6129e5403a06d2064221835c39005d",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", GOLDEN_JSON, ids=[" ".join(argv) for argv, _ in GOLDEN_JSON]
+)
+def test_json_output_matches_golden_hash(capsys, argv, expected):
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected

@@ -10,6 +10,7 @@ from flagforms.combinat import (
     lambda_from_sigma_tilde,
     nu_from_rho,
     partitions_of,
+    perm_sign,
     relative_dimension,
     reverse,
     root_blocks,
@@ -140,3 +141,16 @@ def test_root_blocks_partition_everything():
 
 def test_partition_json_drops_trailing_zeros():
     assert Partition((2, 1, 0, 0)).to_json() == [2, 1]
+
+
+def test_perm_sign_is_the_permutation_matrix_determinant():
+    from itertools import permutations
+
+    import numpy as np
+
+    for k in range(5):
+        for w in permutations(range(k)):
+            det = round(np.linalg.det(np.eye(k)[list(w)])) if k else 1
+            assert perm_sign(w) == det
+            # 1-based one-line notation gives the same sign
+            assert perm_sign(x + 1 for x in w) == det

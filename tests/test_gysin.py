@@ -187,3 +187,38 @@ def test_oracle_linear():
     lhs = pushforward_oracle(combo, rho)
     rhs = pushforward_oracle(a, rho) * 3 - pushforward_oracle(b, rho) * 2
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "rho, e_power, fiber_dim", [((0, 2, 5, 7), 2, 16), ((0, 2, 5, 8), 3, 21)]
+)
+def test_projection_formula_on_large_flag_pushes(rho, e_power, fiber_dim):
+    # beyond the oracle's rank: pi_*(pi^* c1(E)^e * G) = c1(E)^e * pi_*(G).
+    # The E-free factor G has degree 20, so its push has degree 20 - d and
+    # vanishes over (0,2,5,8), where d = 21.
+    from flagforms.combinat import relative_dimension
+
+    assert relative_dimension(rho) == fiber_dim
+    free = "c1(U2/U1)^10*c2(U1)^5"
+    full = pushforward_dp(expand_expression(f"{free}*c1(E)^{e_power}", rho), rho)
+    pushed_free = pushforward_dp(expand_expression(free, rho), rho)
+    assert full == pushed_free * c(rho[-1], 1) ** e_power
+    if fiber_dim > 20:
+        assert full.is_zero()
+    else:
+        assert pushed_free.degree() == 20 - fiber_dim
+        assert not full.is_zero()
+
+
+def test_dp_warns_only_on_non_block_symmetric_input():
+    rho = (0, 1, 3)  # roots 1 and 2 share a block
+    symmetric = mono(3, (3, 0, 1)) + mono(3, (0, 3, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pushforward_dp(symmetric, rho)
+        pushforward_dp(expand_expression("c1(U1)^2*c2(E)", rho), rho)
+    # same support as the symmetric input, but unequal coefficients
+    skewed = mono(3, (3, 0, 1)) + mono(3, (0, 3, 1)) * 2
+    for F in (mono(3, (3, 0, 1)), skewed):
+        with pytest.warns(UserWarning, match="not block-symmetric"):
+            pushforward_dp(F, rho)
