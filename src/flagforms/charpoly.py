@@ -173,6 +173,19 @@ class ChernPoly:
     def is_zero(self):
         return not self.terms
 
+    def evaluate(self, images, const):
+        """The polynomial with each c_j replaced by ``images[j]`` (j >= 1;
+        ``images[0]`` is not read), in any commutative ring.  ``const`` maps
+        a coefficient to a ring element, as in ``exprs.evaluate``."""
+        acc = const(0)
+        for exps, coeff in self.terms.items():
+            piece = const(coeff)
+            for j, a in enumerate(exps, start=1):
+                for _ in range(a):
+                    piece = piece * images[j]
+            acc = acc + piece
+        return acc
+
     # -- grading -------------------------------------------------------
 
     def monomial_degree(self, exps):

@@ -215,6 +215,24 @@ def perm_sign(seq):
     return -1 if inversions % 2 else 1
 
 
+def bitmask(indices):
+    """The bitset of a collection of non-negative integers."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def mask_indices(mask):
+    """The set bits of a bitset, in increasing order; inverse of bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def root_blocks(rho):
     """The intervals of root indices carried by the successive quotients.
 

@@ -21,16 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprs
-from .combinat import admissible_pairs, as_dimension_sequence
+from .combinat import admissible_pairs, as_dimension_sequence, bitmask, mask_indices
 from .formlab import (
     ExtForm,
     FormMatrix,
     GeneratorSpace,
-    TWO_PI,
-    _merge_sign,
     base_curvature_matrix,
     chern_forms,
-    wedge_det,
 )
 from .gysin import pushforward_dp
 from .rootcalc import bundles_in_expression, expand_expression
@@ -536,25 +533,6 @@ def _symmetrize_coeffs(coeffs, H0, H0inv):
     return out, rel
 
 
-def _form_matrix_from_coeffs(chart, rank, coeffs):
-    """Assemble the FormMatrix (entry (beta, alpha) collects the (alpha,
-    beta) coefficient entries) from M-coefficient arrays at a single point."""
-    entries = [
-        [dict() for _ in range(rank)] for _ in range(rank)
-    ]
-    for (a, b), M in coeffs.items():
-        key = (1 << a, 1 << b)
-        for alpha in range(rank):
-            for beta in range(rank):
-                v = complex(M[alpha, beta])
-                if v != 0:
-                    entries[beta][alpha][key] = entries[beta][alpha].get(key, 0.0) + v
-    return FormMatrix(
-        chart.space,
-        [[ExtForm(chart.space, entries[b][a]) for a in range(rank)] for b in range(rank)],
-    )
-
-
 def curvature_at(spec, C, p, fd_step=FD_STEP, with_report=False):
     """Full curvature matrix at a fiber point by finite differences on the
     induced metric (fiber directions) and the analytic z-Hessian (base
@@ -569,7 +547,7 @@ def curvature_at(spec, C, p, fd_step=FD_STEP, with_report=False):
             f"finite-difference curvature defect {defect:g} exceeds tolerance; "
             "the step is unsuitable for this configuration (rounding dominates)"
         )
-    matrix = _form_matrix_from_coeffs(chart, spec.rank, coeffs)
+    matrix = FormMatrix.from_coeffs(chart.space, spec.rank, coeffs)
     if with_report:
         return matrix, {"hermitian_defect": defect, "fd_step": fd_step}
     return matrix
@@ -628,104 +606,16 @@ def theta_intrinsic(spec, V, C):
     P = np.zeros((r, r), dtype=complex)
     P[lo:hi, lo:hi] = np.eye(hi - lo)
     Pi = V @ P @ _herm_t(V)
+    # entry (b, a) of the form matrix is (Pi c[j,k]^T Pi)[b, a]
     projected = {
-        (j, k): Pi @ C.coeffs[j, k].T @ Pi
+        (j, k): (Pi @ C.coeffs[j, k].T @ Pi).T
         for j in range(chart.n)
         for k in range(chart.n)
     }
-    entries = []
-    for b in range(r):
-        row = []
-        for a in range(r):
-            terms = {}
-            for (j, k), theta_jk in projected.items():
-                v = theta_jk[b, a]
-                if v != 0:
-                    terms[(1 << j, 1 << k)] = v
-            row.append(ExtForm(chart.space, terms))
-        entries.append(row)
-    return FormMatrix(chart.space, entries)
+    return FormMatrix.from_coeffs(chart.space, r, projected)
 
 
 # -- Monte Carlo fiber integration -------------------------------------------
-
-
-class _BatchForm:
-    """Exterior-algebra element whose coefficients are per-sample arrays."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms or {}
-
-    @classmethod
-    def scalar(cls, value):
-        return cls({(0, 0): value})
-
-    def __add__(self, other):
-        if not isinstance(other, _BatchForm):
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, arr in other.terms.items():
-            terms[key] = terms[key] + arr if key in terms else arr
-        return _BatchForm(terms)
-
-    def __neg__(self):
-        return _BatchForm({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex, np.ndarray)):
-            return _BatchForm({k: v * other for k, v in self.terms.items()})
-        if not isinstance(other, _BatchForm):
-            return NotImplemented
-        terms = {}
-        for (s1, t1), c1 in self.terms.items():
-            n_t1 = t1.bit_count()
-            for (s2, t2), c2 in other.terms.items():
-                if s1 & s2 or t1 & t2:
-                    continue
-                sign = _merge_sign(s1, s2) * _merge_sign(t1, t2)
-                if (n_t1 * s2.bit_count()) & 1:
-                    sign = -sign
-                key = (s1 | s2, t1 | t2)
-                piece = c1 * c2 if sign > 0 else -(c1 * c2)
-                terms[key] = terms[key] + piece if key in terms else piece
-        return _BatchForm(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        result = _BatchForm.scalar(1.0 + 0j)
-        for _ in range(n):
-            result = result * self
-        return result
-
-
-def _batch_chern_forms(chart, rank, coeffs, count):
-    """Chern forms of a batched curvature, as _BatchForm elements."""
-    one = _BatchForm.scalar(np.ones(count, dtype=complex))
-    zero = _BatchForm({})
-    scale = 1j / TWO_PI
-    entry = [[zero for _ in range(rank)] for _ in range(rank)]
-    for (a, b), M in coeffs.items():
-        for alpha in range(rank):
-            for beta in range(rank):
-                col = M[..., alpha, beta]
-                if np.any(col):
-                    key = (1 << a, 1 << b)
-                    cur = entry[beta][alpha]
-                    add = _BatchForm({key: scale * col})
-                    entry[beta][alpha] = cur + add
-    from itertools import combinations
-
-    out = [one]
-    for s in range(1, rank + 1):
-        acc = zero
-        for subset in combinations(range(rank), s):
-            sub = [[entry[i][j] for j in subset] for i in subset]
-            acc = acc + wedge_det(sub, one, zero)
-        out.append(acc)
-    return out
 
 
 @dataclass
@@ -834,8 +724,8 @@ class PushforwardEstimate:
             val = complex(val)
             coefficients.append(
                 {
-                    "holo": _mask_indices(s),
-                    "anti": _mask_indices(t),
+                    "holo": mask_indices(s),
+                    "anti": mask_indices(t),
                     "re": val.real,
                     "im": val.imag,
                     "stderr": self.stderr.get((s, t), 0.0),
@@ -854,15 +744,6 @@ class PushforwardEstimate:
         }
 
 
-def _mask_indices(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def pushforward_numeric(chart, F_expr, C, sampler):
     """Monte Carlo fiber integral of a polynomial in the Chern forms of
     universal bundles, as a (k, k)-form on the base generators.
@@ -875,6 +756,11 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     extracted, importance weighted, and averaged.  Mixed base-fiber
     curvature blocks vanish identically at z = 0 in this metric model and
     are set to zero.
+
+    A chunk of samples is one computation: each curvature is a FormMatrix
+    whose coefficients are per-sample arrays, assembled by
+    ``FormMatrix.from_coeffs`` and passed to ``formlab.chern_forms``, the
+    same code that ``curvature_at`` and the base Chern forms use at a point.
 
     On the first AUDIT_SAMPLES points of the first chunk, finite
     differences with step ``fd_step`` recompute the curvature: the mixed
@@ -912,7 +798,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     from itertools import combinations
 
     keys = [
-        (_bits_of(J), _bits_of(K))
+        (bitmask(J), bitmask(K))
         for J in combinations(range(n), k)
         for K in combinations(range(n), k)
     ]
@@ -950,7 +836,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
                 vertical_defect = max(vertical_defect, vertical)
             coeffs, herm = _symmetrize_coeffs(coeffs, H0, H0inv)
             hermitian_defect = max(hermitian_defect, herm)
-            curv[spec] = _batch_chern_forms(chart, spec.rank, coeffs, count)
+            curv[spec] = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, coeffs))
 
         def chern_atom(j, ref):
             from .rootcalc import _resolve_bundle
@@ -959,11 +845,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
             return curv[spec][j]
 
         value = exprs.evaluate(
-            F_expr,
-            const=lambda q: _BatchForm.scalar(
-                complex(q) * np.ones(count, dtype=complex)
-            ),
-            chern=chern_atom,
+            F_expr, const=lambda q: ExtForm.scalar(chart.space, q), chern=chern_atom
         )
 
         contrib = {}
@@ -1021,13 +903,6 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     )
 
 
-def _bits_of(indices):
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 @dataclass
 class MainTheoremReport:
     """Comparison of the Monte Carlo fiber integral against the symbolic
@@ -1069,13 +944,7 @@ def verify_main_theorem(chart, F_expr, C, sampler):
     phi = pushforward_dp(expand_expression(F_expr, rho), rho)
     base_space = GeneratorSpace.base(chart.n)
     cf = chern_forms(base_curvature_matrix(C, base_space))
-    truth = ExtForm.zero(base_space)
-    for exps, coeff in phi.terms.items():
-        piece = ExtForm.scalar(base_space, complex(coeff))
-        for j, a in enumerate(exps, start=1):
-            for _ in range(a):
-                piece = piece.wedge(cf[j])
-        truth = truth + piece
+    truth = phi.evaluate(cf, lambda q: ExtForm.scalar(base_space, q))
     est = pushforward_numeric(chart, F_expr, C, sampler)
 
     keys = set(est.form.terms) | set(truth.terms) | set(est.stderr)
@@ -1090,8 +959,8 @@ def verify_main_theorem(chart, F_expr, C, sampler):
         truth_sq += abs(t) ** 2
         per_coeff.append(
             {
-                "holo": _mask_indices(key[0]),
-                "anti": _mask_indices(key[1]),
+                "holo": mask_indices(key[0]),
+                "anti": mask_indices(key[1]),
                 "estimate": [complex(e).real, complex(e).imag],
                 "truth": [complex(t).real, complex(t).imag],
                 "stderr": se,

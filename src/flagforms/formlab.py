@@ -1,12 +1,19 @@
-"""Pointwise exterior algebra and Chern-Weil constructions.
+"""Exterior algebra and Chern-Weil constructions, at a point or over a
+batch of sample points.
 
 ExtForm models an element of the exterior algebra on holomorphic generators
-g_1..g_N and their conjugates, with complex double coefficients.  Terms are
-keyed by a pair of index bitsets (holomorphic, anti-holomorphic); the
-canonical basis element for (S, T) is dg_{s_1} ^ ... ^ dg_{s_p} ^
-dgbar_{t_1} ^ ... ^ dgbar_{t_q} with ascending indices and the holomorphic
-block first.  Anticommutativity is tracked by sign normalization at
-insertion.
+g_1..g_N and their conjugates.  Terms are keyed by a pair of index bitsets
+(holomorphic, anti-holomorphic); the canonical basis element for (S, T) is
+dg_{s_1} ^ ... ^ dg_{s_p} ^ dgbar_{t_1} ^ ... ^ dgbar_{t_q} with ascending
+indices and the holomorphic block first.  Anticommutativity is tracked by
+sign normalization at insertion.
+
+A coefficient is either a complex number (a form at one point) or a 1-D
+complex array holding one value per sample (the same form at a batch of
+points, as in Monte Carlo fiber integration).  The algebra -- sums, wedge
+products, FormMatrix assembly, Chern forms -- is the same code for both;
+the diagnostics (norm, equality, repr) and positivity evaluation need
+number coefficients.
 
 Unlike the symbolic modules this one runs on floating point, since its
 inputs (curvature tensors) are numeric.  Tolerances are module constants.
@@ -16,7 +23,7 @@ import math
 
 import numpy as np
 
-from .combinat import perm_sign
+from .combinat import bitmask, mask_indices, perm_sign
 
 #: tolerance for Hermitian-symmetry validation of curvature tensors
 HERMITIAN_TOL = 1e-10
@@ -60,22 +67,6 @@ class GeneratorSpace:
         return f"GeneratorSpace({self.names!r})"
 
 
-def _bits(indices):
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def _bit_indices(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _merge_sign(a, b):
     """Sign of sorting the concatenation of two disjoint ascending index
     sets (a then b) into ascending order."""
@@ -90,7 +81,8 @@ def _merge_sign(a, b):
 
 
 class ExtForm:
-    """Sparse exterior-algebra element with complex coefficients."""
+    """Sparse exterior-algebra element with complex coefficients, each a
+    number or a per-sample array; zero coefficients are dropped."""
 
     __slots__ = ("space", "terms")
 
@@ -99,10 +91,13 @@ class ExtForm:
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = complex(coeff)
+                if isinstance(coeff, np.ndarray) and coeff.ndim:  # 0-d: a number
+                    if coeff.any():
+                        self.terms[key] = coeff
+                    continue
+                coeff = 0.0 + complex(coeff)
                 if coeff != 0:
-                    self.terms[key] = self.terms.get(key, 0.0) + coeff
-            self.terms = {k: v for k, v in self.terms.items() if v != 0}
+                    self.terms[key] = coeff
 
     # -- constructors ---------------------------------------------------
 
@@ -142,11 +137,7 @@ class ExtForm:
         self._check_space(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            new = terms.get(key, 0.0) + coeff
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+            terms[key] = terms[key] + coeff if key in terms else coeff
         return ExtForm(self.space, terms)
 
     __radd__ = __add__
@@ -199,11 +190,8 @@ class ExtForm:
                 if (n_t1 * s2.bit_count()) & 1:
                     sign = -sign
                 key = (s1 | s2, t1 | t2)
-                new = terms.get(key, 0.0) + sign * c1 * c2
-                if new == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = new
+                piece = c1 * c2 if sign > 0 else -(c1 * c2)
+                terms[key] = terms[key] + piece if key in terms else piece
         return ExtForm(self.space, terms)
 
     def conj(self):
@@ -237,8 +225,8 @@ class ExtForm:
     def coeff(self, holo, anti):
         """Coefficient of the canonical basis element for generator index
         sets ``holo`` and ``anti`` (iterables of indices or bitmasks)."""
-        s = holo if isinstance(holo, int) else _bits(holo)
-        t = anti if isinstance(anti, int) else _bits(anti)
+        s = holo if isinstance(holo, int) else bitmask(holo)
+        t = anti if isinstance(anti, int) else bitmask(anti)
         return self.terms.get((s, t), 0.0)
 
     # -- diagnostics ----------------------------------------------------------
@@ -263,8 +251,8 @@ class ExtForm:
         names = self.space.names
         pieces = []
         for (s, t), coeff in sorted(self.terms.items()):
-            gens = [f"d{names[i]}" for i in _bit_indices(s)]
-            gens += [f"d{names[i]}~" for i in _bit_indices(t)]
+            gens = [f"d{names[i]}" for i in mask_indices(s)]
+            gens += [f"d{names[i]}~" for i in mask_indices(t)]
             body = "^".join(gens) if gens else "1"
             pieces.append(f"({coeff:.6g})*{body}")
         return "ExtForm(" + " + ".join(pieces) + ")"
@@ -374,6 +362,24 @@ class FormMatrix:
             if len(row) != size:
                 raise ValueError("entries must form a square matrix")
 
+    @classmethod
+    def from_coeffs(cls, space, rank, coeffs):
+        """Assemble a matrix of (1,1)-forms from coefficient arrays.
+
+        ``coeffs`` maps generator-index pairs (a, b) to arrays shaped
+        (..., rank, rank); entry (beta, alpha) of the matrix collects
+        M[..., alpha, beta] dg_a ^ dgbar_b over all pairs.  With leading
+        axes the coefficients are per-sample arrays, without them numbers.
+        """
+        terms = [[{} for _ in range(rank)] for _ in range(rank)]
+        for (a, b), M in coeffs.items():
+            key = (1 << a, 1 << b)
+            M = np.moveaxis(M, (-2, -1), (0, 1))
+            for alpha in range(rank):
+                for beta in range(rank):
+                    terms[beta][alpha][key] = M[alpha, beta]
+        return cls(space, [[ExtForm(space, t) for t in row] for row in terms])
+
     @property
     def rank(self):
         return len(self.entries)
@@ -434,25 +440,15 @@ def base_curvature_matrix(C, space=None):
     generators: entry (b, a) is sum_{j,k} c[j,k,a,b] dz_j ^ dzbar_k."""
     if space is None:
         space = GeneratorSpace.base(C.n)
-    entries = []
-    for b in range(C.r):
-        row = []
-        for a in range(C.r):
-            terms = {}
-            for j in range(C.n):
-                for k in range(C.n):
-                    v = C.coeffs[j, k, a, b]
-                    if v != 0:
-                        terms[(1 << space.index(f"z{j+1}"), 1 << space.index(f"z{k+1}"))] = v
-            row.append(ExtForm(space, terms))
-        entries.append(row)
-    return FormMatrix(space, entries)
+    z = [space.index(f"z{j + 1}") for j in range(C.n)]
+    return FormMatrix.from_coeffs(
+        space, C.r, {(z[j], z[k]): C.coeffs[j, k] for j in range(C.n) for k in range(C.n)}
+    )
 
 
 def wedge_det(entries, one, zero):
-    """Determinant of a small matrix of commuting even-degree elements;
-    generic in the algebra (used both for ExtForm and for the batched
-    sample forms in the numerical fiber integration)."""
+    """Determinant of a small matrix of commuting even-degree elements,
+    generic in the algebra."""
     from itertools import permutations
 
     k = len(entries)
@@ -473,7 +469,8 @@ def chern_forms(M):
 
     The i/(2 pi) normalization is applied here: c_s is the sum over
     s-element index subsets of the wedge-determinant of the corresponding
-    submatrix of (i/2pi) M.  Each c_s is a real (s, s)-form.
+    submatrix of (i/2pi) M.  Each c_s is a real (s, s)-form, with
+    per-sample coefficients when M has them.
     """
     from itertools import combinations
 
@@ -573,7 +570,7 @@ def _evaluate_on_frame(gamma, frames):
 
     def minor(mask):
         if mask not in minors:
-            minors[mask] = np.linalg.det(frames[:, :, _bit_indices(mask)])
+            minors[mask] = np.linalg.det(frames[:, :, mask_indices(mask)])
         return minors[mask]
 
     for (s, t), coeff in gamma.terms.items():
@@ -582,16 +579,15 @@ def _evaluate_on_frame(gamma, frames):
 
 
 def positivity_values(gamma, samples=1000, seed=0):
-    """Calibrated evaluation of a (k,k)-form on random holomorphic k-frames;
-    the zero form, which has no bidegree of its own, is 0 on every frame."""
-    if not gamma.terms:
-        return np.zeros(samples)
+    """Calibrated evaluation of a (k,k)-form on ``samples`` random
+    holomorphic k-frames; a (0,0)-form, the zero form included, is its
+    constant on every frame."""
     p, q = gamma.bidegree()
     if p != q:
         raise ValueError(f"positivity needs a (k,k)-form, got bidegree ({p},{q})")
     k = p
     if k == 0:
-        return np.array([complex(gamma.coeff(0, 0)).real])
+        return np.full(samples, complex(gamma.coeff(0, 0)).real)
     n = len(gamma.space)
     if k > n:
         raise ValueError(f"frame dimension {k} exceeds generator count {n}")

@@ -51,6 +51,7 @@ from .combinat import (
 from .rootcalc import (
     RootPoly,
     UniversalBundleSpec,
+    _elementary,
     apply_permutation,
     block_symmetrize,
     is_block_symmetric,
@@ -175,7 +176,7 @@ def _symmetric_to_chern(poly):
         eta_terms[exps] = coeff * sign
     work = RootPoly(r, eta_terms)
     result = ChernPoly.zero(r)
-    elem = [_eta_elementary(r, j) for j in range(r + 1)]
+    elem = [_elementary(r, range(1, r + 1), j, negate=False) for j in range(r + 1)]
     while not work.is_zero():
         # leading monomial in lex order has weakly decreasing exponents
         exps = max(work.terms, key=lambda e: e)
@@ -195,22 +196,6 @@ def _symmetric_to_chern(poly):
                 prod = prod * elem[j] ** mult
         work = work - prod
     return result
-
-
-_ETA_ELEM_CACHE = {}
-
-
-def _eta_elementary(r, j):
-    key = (r, j)
-    if key not in _ETA_ELEM_CACHE:
-        terms = {}
-        for combo in combinations(range(1, r + 1), j):
-            exps = [0] * r
-            for i in combo:
-                exps[i - 1] = 1
-            terms[tuple(exps)] = 1
-        _ETA_ELEM_CACHE[key] = RootPoly(r, terms) if j else RootPoly.one(r)
-    return _ETA_ELEM_CACHE[key]
 
 
 def _oracle_raw(F, rho):

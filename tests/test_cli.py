@@ -118,6 +118,14 @@ def test_json_reports_are_deterministic(capsys):
     assert out1 == out2
 
 
+def test_monte_carlo_json_report_is_deterministic(capsys):
+    argv = ("--json", "verify", "--suite", "gysin-numeric", "--samples", "20000")
+    code1, out1, _ = run(capsys, *argv)
+    code2, out2, _ = run(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["unknown-subcommand"]) == 2
 

@@ -18,7 +18,7 @@ from flagforms.flagnum import (
     theta_intrinsic,
     verify_main_theorem,
 )
-from flagforms.formlab import CurvatureTensor, ExtForm, griffiths_sample
+from flagforms.formlab import CurvatureTensor, ExtForm, FormMatrix, chern_forms, griffiths_sample
 from flagforms.rootcalc import UniversalBundleSpec
 
 
@@ -509,12 +509,41 @@ def test_exact_coefficients_at_center_equal_center_formula():
         C = random_tensor(2, spec.rho.r, 200 + i)
         chart = chart_for(spec, 2)
         coeffs, _, _ = flagnum._exact_coeffs(spec, C, np.zeros(chart.d))
-        got = flagnum._form_matrix_from_coeffs(chart, spec.rank, coeffs)
+        got = FormMatrix.from_coeffs(chart.space, spec.rank, coeffs)
         want = curvature_center(spec, C)
         for b in range(spec.rank):
             for a in range(spec.rank):
                 diff = (got.entries[b][a] - want.entries[b][a]).norm()
                 assert diff <= 1e-12 * max(want.norm(), 1.0), (spec, b, a)
+
+
+def test_batched_chern_forms_match_pointwise_every_bundle():
+    # the Monte Carlo route takes Chern forms of per-sample coefficients in
+    # one batch; sample i must equal the Chern forms of the matrix built
+    # from the coefficients at zeta[i] alone, up to the rounding of numpy's
+    # complex products against Python's, relative to each c_s at the point
+    worst = 0.0
+    for i, spec in enumerate(_every_bundle()):
+        C = random_tensor(1, spec.rho.r, 300 + i)
+        chart = chart_for(spec, 1)
+        rng = np.random.default_rng(300 + i)
+        zeta = 0.7 * (rng.standard_normal((3, chart.d)) + 1j * rng.standard_normal((3, chart.d)))
+        coeffs, _, _ = flagnum._exact_coeffs(spec, C, zeta)
+        batched = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, coeffs))
+        for p in range(len(zeta)):
+            at_p = {key: v[p] for key, v in coeffs.items()}
+            pointwise = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, at_p))
+            assert batched[0] == pointwise[0] == ExtForm.one(chart.space)
+            for c_b, c_p in zip(batched[1:], pointwise[1:]):
+                assert set(c_p.terms) <= set(c_b.terms), (spec, p)
+                assert all(np.ndim(v) == 1 for v in c_b.terms.values()), spec
+                scale = max((abs(v[p]) for v in c_b.terms.values()), default=0.0)
+                gap = max(
+                    (abs(v[p] - c_p.terms.get(key, 0.0)) for key, v in c_b.terms.items()),
+                    default=0.0,
+                )
+                worst = max(worst, gap / max(scale, 1e-300))
+    assert worst <= 1e-12
 
 
 def test_pushforward_numeric_reports_audit_and_hermitian_defects():

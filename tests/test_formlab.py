@@ -199,6 +199,8 @@ def test_positivity_rejects_unbalanced_bidegree():
 def test_positivity_scalar_case():
     space = GeneratorSpace.base(2)
     assert positivity_check(ExtForm.scalar(space, 2.5), samples=10, seed=0) == 2.5
+    vals = positivity_values(ExtForm.scalar(space, 2.5), samples=10, seed=0)
+    assert vals.shape == (10,) and (vals == 2.5).all()
 
 
 def test_form_matrix_hermitian_check():
@@ -237,13 +239,11 @@ def test_positivity_values_of_a_zero_push():
     # 3-planes in a rank-4 bundle the push of c1(Q3)^2 c2(Q3) is the zero
     # form: it takes the value 0 on every one of the sampled frames
     from flagforms.gysin import grassmann_c1c2_pushforward
-    from flagforms.verify import _eval_chern_poly_in_forms
-
     pushed, vec = grassmann_c1c2_pushforward(4, 4, 3, 2, 1)
     assert pushed.is_zero() and not vec.items()
     space = GeneratorSpace.base(4)
     cf = chern_forms(base_curvature_matrix(griffiths_sample(4, 4, terms=2, seed=3), space))
-    gamma = _eval_chern_poly_in_forms(pushed, cf, space)
+    gamma = pushed.evaluate(cf, lambda q: ExtForm.scalar(space, q))
     vals = positivity_values(gamma, samples=400, seed=1)
     assert vals.shape == (400,)
     assert not vals.any()
