@@ -447,9 +447,6 @@ class SchurVector:
                 if coeff != 0:
                     self.coords[sigma] = coeff
 
-    def basis(self):
-        return list(partitions_of(self.degree, max_part=self.rank))
-
     def reconstruct(self):
         acc = ChernPoly.zero(self.rank)
         for sigma, coeff in self.coords.items():

@@ -191,6 +191,8 @@ def cmd_curvature(args):
     spec = UniversalBundleSpec(rho, ell, l)
     with open(args.tensor) as fh:
         C = CurvatureTensor.from_json(json.load(fh))
+    if C.r != rho.r:
+        raise SystemExit(f"the tensor has rank {C.r}, but --rho needs r = {rho.r}")
     chart = FlagChart(rho, C.n)
     point = (
         ChartPoint(_complex_list(args.point))
@@ -198,7 +200,10 @@ def cmd_curvature(args):
         else ChartPoint.center(chart)
     )
     exact = curvature_center(spec, C)
-    fd, rep = curvature_at(spec, C, point, with_report=True)
+    try:
+        fd, rep = curvature_at(spec, C, point, with_report=True)
+    except ArithmeticError as exc:
+        raise SystemExit(str(exc)) from None
     diff = 0.0
     for b in range(spec.rank):
         for a in range(spec.rank):

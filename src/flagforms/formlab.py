@@ -212,16 +212,6 @@ class ExtForm:
             raise ValueError(f"form has mixed bidegrees {sorted(degs)}")
         return next(iter(degs)) if degs else (0, 0)
 
-    def component(self, p, q):
-        return ExtForm(
-            self.space,
-            {
-                (s, t): c
-                for (s, t), c in self.terms.items()
-                if s.bit_count() == p and t.bit_count() == q
-            },
-        )
-
     def coeff(self, holo, anti):
         """Coefficient of the canonical basis element for generator index
         sets ``holo`` and ``anti`` (iterables of indices or bitmasks)."""

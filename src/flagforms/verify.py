@@ -23,6 +23,7 @@ from .flagnum import (
     ChartPoint,
     FlagChart,
     SamplerConfig,
+    _bundle_slices,
     chart_for,
     curvature_at,
     curvature_center,
@@ -400,11 +401,7 @@ def splitting_checks(seed=20240404, min_slope=1.9):
 
 
 def _expected_first_order_u(spec, chart, zeta):
-    r = spec.rho.r
-    lo = r - spec.rho[spec.l]
-    mid = r - spec.rho[spec.ell]
-    q_idx = list(range(lo, mid))
-    s_idx = list(range(mid, r))
+    q_idx, s_idx = _bundle_slices(spec)
     expected = np.zeros((len(q_idx), len(s_idx)), dtype=complex)
     for qi, alpha0 in enumerate(q_idx):
         for si, mu0 in enumerate(s_idx):

@@ -160,6 +160,31 @@ def test_curvature_command_with_point(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rho, spec, tensor_r, point, message",
+    [
+        ("0,1,3", "1,2", 3, "1", "has 2 coordinates, got 1"),
+        ("0,1,3", "1,2", 3, "1,2,3", "has 2 coordinates, got 3"),
+        ("0,1,4", "0,1", 3, None, "rank 3"),
+        ("0,1,3", "1,2", 3, "1e200,1", "not finite"),
+        ("0,1,3,4", "1,2", 4, "1e150,1,1,1,1", "tolerance"),
+    ],
+    ids=["short-point", "long-point", "tensor-rank", "far-point-nan", "far-point-defect"],
+)
+@pytest.mark.filterwarnings("error")  # a warning would print a second line
+def test_curvature_rejects_bad_point_and_tensor(
+    tmp_path, capsys, rho, spec, tensor_r, point, message
+):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(griffiths_sample(2, tensor_r, terms=2, seed=0).to_json()))
+    argv = ["curvature", "--rho", rho, "--spec", spec, "--tensor", str(path)]
+    code, out, err = run(capsys, *argv, *(["--point", point] if point else []))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["--json", "cone", "--grid", "0", "--family", "fcone-r2", "--target", "1,0"], "--grid"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -576,3 +578,44 @@ def test_audit_rejects_a_wrong_vertical_block(monkeypatch):
         pushforward_numeric(
             chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=500, seed=3)
         )
+
+
+def test_audit_rejects_a_nan_in_the_vertical_block(monkeypatch):
+    # a NaN must fail the audit, not vanish in a maximum
+    chart = FlagChart((0, 1, 3), 2)
+    C = griffiths_sample(2, 3, terms=2, seed=7)
+    spec = UniversalBundleSpec(chart.rho, 1, 2)
+    rng = np.random.default_rng(0)
+    zeta = 0.7 * (rng.standard_normal((8, chart.d)) + 1j * rng.standard_normal((8, chart.d)))
+    coeffs, _, _ = flagnum._exact_coeffs(spec, C, zeta)
+    coeffs[(2, 3)][5, 0, 0] = np.nan
+    mixed, vertical = flagnum._audit_coeffs(spec, C, zeta, coeffs, flagnum.FD_STEP)
+    assert mixed <= 1e-8 and math.isnan(vertical)
+
+    exact = flagnum._exact_coeffs
+
+    def one_nan(spec, C, zeta):
+        coeffs, H0, H0inv = exact(spec, C, zeta)
+        coeffs[(C.n, C.n)][0, 0, 0] = np.nan
+        return coeffs, H0, H0inv
+
+    monkeypatch.setattr(flagnum, "_exact_coeffs", one_nan)
+    with pytest.raises(ArithmeticError, match="vertical.*nan"):
+        pushforward_numeric(
+            chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=500, seed=3)
+        )
+
+
+def test_curvature_at_rejects_non_finite_coefficients():
+    chart = FlagChart((0, 1, 3), 1)
+    spec = UniversalBundleSpec(chart.rho, 1, 2)
+    C = griffiths_sample(1, 3, terms=2, seed=5)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        curvature_at(spec, C, ChartPoint([1e200, 1.0]))
+
+
+def test_chart_points_must_have_the_fiber_dimension():
+    chart = FlagChart((0, 1, 3), 1)
+    for zeta in ([1.0], [1.0, 2.0, 3.0], np.zeros((4, 3))):
+        with pytest.raises(ValueError, match="has 2 coordinates"):
+            frames_eps(chart, zeta)
