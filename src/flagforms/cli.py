@@ -11,11 +11,6 @@ import os
 import sys
 from fractions import Fraction
 
-# propagate the thread-count knob to the BLAS backends before numpy loads
-if "FLAGFORMS_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["FLAGFORMS_THREADS"])
-
 from .charpoly import schur, schur_decompose, segre_polys
 from .combinat import DimensionSequence, Partition
 from .conegeom import builtin_families, cone_membership_2d, ray_hull_2d
@@ -34,8 +29,11 @@ def _parse_rho(text):
         raise SystemExit(f"bad --rho value {text!r}: {exc}") from None
 
 
-def _parse_ints(text):
-    return tuple(int(x) for x in text.split(",") if x != "")
+def _parse_ints(text, flag=None, count=None):
+    values = tuple(int(x) for x in text.split(",") if x != "")
+    if count is not None and len(values) != count:
+        raise SystemExit(f"{flag} needs {count} comma-separated integers, got {text!r}")
+    return values
 
 
 def _require_positive(flag, value):
@@ -172,7 +170,7 @@ def cmd_cone(args):
     }
     exit_code = 0
     if args.target:
-        target = _parse_ints(args.target)
+        target = _parse_ints(args.target, "--target", 2)
         inside, margin = cone_membership_2d(target, hull)
         payload["target"] = list(target)
         payload["inside_sampled_hull"] = inside
@@ -187,7 +185,7 @@ def cmd_cone(args):
 
 def cmd_curvature(args):
     rho = _parse_rho(args.rho)
-    ell, l = _parse_ints(args.spec)
+    ell, l = _parse_ints(args.spec, "--spec", 2)
     spec = UniversalBundleSpec(rho, ell, l)
     with open(args.tensor) as fh:
         C = CurvatureTensor.from_json(json.load(fh))
@@ -246,6 +244,8 @@ def cmd_verify(args):
         )
     kwargs = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise SystemExit(f"--seed must be a non-negative integer, got {args.seed}")
         kwargs["seed"] = args.seed
     if args.samples is not None:
         _require_positive("--samples", args.samples)

@@ -4,11 +4,11 @@ curvature, and Monte Carlo fiber integration.
 All pointwise work happens over the chart center of the base (z = 0); the
 ambient metric is the synthetic truncation delta - sum c[j,k,a,b] z_j
 conj(z_k), exactly quadratic in z, so z-derivatives of metrics are
-analytic.  Fiber-direction derivatives come two ways: exactly, from the
-frames being affine in zeta (``_exact_coeffs``, the Monte Carlo
-integrand), and by fourth-order central finite differences on the metric
-(``curvature_at``, and the audit that checks the exact route on the first
-Monte Carlo chunk).
+analytic.  Fiber-direction derivatives are exact, from the frames being
+affine in zeta (``_exact_coeffs``, behind both ``curvature_at`` and the
+Monte Carlo integrand).  Fourth-order central finite differences on the
+metric are the oracle only: the audit of the first Monte Carlo chunk, the
+curvature suite and the tests.
 
 Curvature coefficients are dicts keyed by pairs (a, b) of chart
 generator indices: z_1..z_n, then one zeta per admissible pair.  The
@@ -38,11 +38,8 @@ from .formlab import (
 from .gysin import pushforward_dp
 from .rootcalc import bundles_in_expression, expand_expression
 
-#: default fourth-order finite-difference step in the fiber coordinates
+#: default fourth-order finite-difference step of the oracle stencils
 FD_STEP = 1e-3
-#: relative tolerance on the pre-symmetrization Hermitian defect of the
-#: finite-difference curvature before the step is declared too large
-FD_HERMITIAN_TOL = 1e-6
 #: Monte Carlo chunk size (fixed so results never depend on a worker split)
 MC_CHUNK = 65536
 #: samples of the first chunk on which the exact curvature is audited by
@@ -240,15 +237,15 @@ def _mm(A, B):
 class _Stencils:
     """Fourth-order Wirtinger derivatives of the universal-bundle metric
     around a batch of fiber points, along the chart generators a (z_1..z_n,
-    then zeta_p) that key the coefficient dicts.
+    then zeta_p) that key the coefficient dicts: the independent route that
+    audits the exact curvature.
 
     Steps are relative: the step of every fiber coordinate is
     fd_step * sqrt(1 + |zeta|^2) per sample, the scale on which the induced
-    metrics vary around that point.  With an absolute step, the curvature
-    coefficients (which decay like inverse powers of |zeta|) would drown in
-    rounding noise exactly where the importance weights of the Monte Carlo
-    integration are largest; with the relative step the finite-difference
-    error stays uniformly small relative to the local curvature scale.
+    metrics vary around that point, so the audit of Monte Carlo samples
+    with large importance weights does not drown in rounding noise.  The
+    step is shared by all fiber coordinates, so far out in the chart, where
+    one coordinate is much larger than another, the stencils lose accuracy.
     The base coordinates keep the plain step fd_step.
     """
 
@@ -344,7 +341,7 @@ def _exact_coeffs(spec, C, zeta):
     """Curvature coefficients at z = 0 over a batch of fiber points, with
     the vertical block from the exact derivatives of the induced metric.
 
-    Same layout and meaning as ``_curvature_coeffs(..., include_mixed=False)``.
+    Same layout and meaning as ``_curvature_coeffs``, less its mixed blocks.
     The frames are affine in zeta, V = I + sum_p zeta_p E_p with E_p the
     single 1 at (lam_p - 1, mu_p - 1), so the Gram matrix G = V^T conj(V)
     has dG/dzeta_p = E_p^T conj(V) (row mu_p - 1 only), the conjugate
@@ -391,7 +388,7 @@ def _exact_coeffs(spec, C, zeta):
     return coeffs, H0, H0inv
 
 
-def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP, include_mixed=True):
+def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP):
     """Coefficient arrays of the curvature at z = 0 over a batch of fiber
     points.
 
@@ -412,15 +409,13 @@ def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP, include_mixed=True):
     Hhat = _z_hessian(K, frames_eps(chart, zeta), C)
     ev = _Stencils(spec, C, zeta, fd_step)
     base, fiber = range(n), range(n, n + d)
-    P = {a: ev.d1(a) for a in (range(n + d) if include_mixed else fiber)}
+    P = {a: ev.d1(a) for a in range(n + d)}
     # the pair order is the term order of the forms built from these
     # coefficients, which fixes the rounding of sums over their terms: the
     # vertical block with each pair beside its mirror, the horizontal block,
     # then the mixed blocks
     pairs = sorted(product(fiber, fiber), key=lambda ab: (min(ab), max(ab), ab[0] > ab[1]))
-    pairs += list(product(base, base))
-    if include_mixed:
-        pairs += list(product(base, fiber)) + list(product(fiber, base))
+    pairs += list(product(base, base)) + list(product(base, fiber)) + list(product(fiber, base))
     coeffs, S = {}, {}
     for a, b in pairs:
         if a < n and b < n:
@@ -448,7 +443,7 @@ def _audit_coeffs(spec, C, zeta, exact, fd_step):
     """
     n = chart_for(spec, C.n).n
     count = len(zeta)
-    fd, _, _ = _curvature_coeffs(spec, C, zeta, fd_step, include_mixed=True)
+    fd, _, _ = _curvature_coeffs(spec, C, zeta, fd_step)
     scale = np.max([np.abs(v).max() for v in fd.values()], initial=1e-300)
     mixed = [np.abs(v).max() for (a, b), v in fd.items() if (a < n) != (b < n)]
     vertical = [np.abs(exact[key][:count] - v).max() for key, v in fd.items() if min(key) >= n]
@@ -478,28 +473,31 @@ def _symmetrize_coeffs(coeffs, H0, H0inv):
     return out, rel
 
 
-def curvature_at(spec, C, p, fd_step=FD_STEP, with_report=False):
-    """Full curvature matrix at a fiber point by finite differences on the
-    induced metric (fiber directions) and the analytic z-Hessian (base
-    directions); Hermiticity is symmetrized and the pre-symmetrization
-    defect reported as a quality metric.  Raises ArithmeticError when the
-    coefficients are not finite or the defect exceeds FD_HERMITIAN_TOL."""
+def curvature_at(spec, C, p, with_report=False):
+    """Full curvature matrix at a fiber point from the exact derivatives of
+    the induced metric; Hermiticity is symmetrized and the
+    pre-symmetrization defect reported as a quality metric.  Raises
+    ArithmeticError when the frame's Gram matrix is not finite, or when
+    eps * cond(H0) exceeds AUDIT_TOL: the induced metric H0, a Schur
+    complement, loses about that much relative accuracy."""
     chart = chart_for(spec, C.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, H0, H0inv = _curvature_coeffs(spec, C, p, fd_step)
-    if not all(np.isfinite(v).all() for v in coeffs.values()):
-        raise ArithmeticError(
-            "finite-difference curvature is not finite at this point (too far out in the chart)"
-        )
+        if not np.isfinite(gram(chart, p)).all():
+            raise ArithmeticError("the frame's Gram matrix is not finite (too far out in the chart)")
+        try:
+            coeffs, H0, H0inv = _exact_coeffs(spec, C, p)
+            loss = np.finfo(float).eps * np.linalg.cond(H0)
+        except np.linalg.LinAlgError:  # a Gram block is singular in floating point
+            loss = np.inf
+        if not loss <= AUDIT_TOL:
+            raise ArithmeticError(
+                f"the induced metric loses {loss:.3g} relative accuracy, beyond the "
+                f"tolerance {AUDIT_TOL:g} (too far out in the chart)"
+            )
     coeffs, defect = _symmetrize_coeffs(coeffs, H0, H0inv)
-    if defect > FD_HERMITIAN_TOL:
-        raise ArithmeticError(
-            f"finite-difference curvature defect {defect:g} exceeds tolerance; "
-            "the step is unsuitable for this configuration (rounding dominates)"
-        )
     matrix = FormMatrix.from_coeffs(chart.space, spec.rank, coeffs)
     if with_report:
-        return matrix, {"hermitian_defect": defect, "fd_step": fd_step}
+        return matrix, {"hermitian_defect": defect}
     return matrix
 
 

@@ -167,8 +167,22 @@ def test_curvature_command_with_point(tmp_path, capsys):
         ("0,1,4", "0,1", 3, None, "rank 3"),
         ("0,1,3", "1,2", 3, "1e200,1", "not finite"),
         ("0,1,3,4", "1,2", 4, "1e150,1,1,1,1", "tolerance"),
+        ("0,1,3", "1,2", 3, "1e5,0", "tolerance"),
+        ("0,1,3", "1,2", 3, "1e20,1e20", "tolerance"),
+        ("0,1,3", "1", 3, None, "--spec needs 2"),
+        ("0,1,3", "1,2,3", 3, None, "--spec needs 2"),
     ],
-    ids=["short-point", "long-point", "tensor-rank", "far-point-nan", "far-point-defect"],
+    ids=[
+        "short-point",
+        "long-point",
+        "tensor-rank",
+        "far-point-nan",
+        "far-point-defect",
+        "far-point-ill-conditioned",
+        "far-point-singular",
+        "short-spec",
+        "long-spec",
+    ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_curvature_rejects_bad_point_and_tensor(
@@ -198,6 +212,26 @@ def test_non_positive_counts_are_usage_errors(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag} must be a positive integer, got {argv[argv.index(flag) + 1]}\n"
+
+
+@pytest.mark.parametrize("target", ["1", "1,2,3"])
+def test_cone_target_must_be_two_integers(capsys, target):
+    code, out, err = run(capsys, "cone", "--family", "fcone-r2", "--target", target)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --target needs 2 comma-separated integers, got {target!r}\n"
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    argv = ("verify", "--suite", "gysin-numeric", "--samples", "10")
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    # seed 0 is a valid seed: the suite runs (10 samples are too few to pass)
+    code, out, err = run(capsys, *argv, "--seed", "0")
+    assert code in (0, 1)
+    assert "fiber volume calibration" in out and err == ""
 
 
 def test_conventions_do_not_depend_on_earlier_work(monkeypatch, capsys):

@@ -392,18 +392,19 @@ def test_pushforward_numeric_trivial_fiber_is_identity():
     assert est.form.allclose(truth, 1e-9)
 
 
-def test_offcenter_quotient_curvature_exact_values():
+@pytest.mark.parametrize("t", [0.7, 10.0, 1e3])
+def test_offcenter_quotient_curvature_exact_values(t):
     # hand-derived curvature of the rank-2 quotient over the plane of lines
     # in C^3 at the fiber point (t, 0): with s = 1 + t^2 the only nonzero
     # fiber coefficients are
     #   entry(1,1)[dz1 ^ dz1~] = 1/s^2            entry(2,2)[dz2 ^ dz2~] = 1/s
     #   entry(1,2)[dz1 ^ dz2~] = 1/s              entry(2,1)[dz2 ^ dz1~] = 1/s^2
-    # (zeta_1_3 and zeta_2_3 abbreviated to 1, 2)
+    # (zeta_1_3 and zeta_2_3 abbreviated to 1, 2); far out the stencils of
+    # the finite-difference oracle lose these, the closed form keeps them
     rho = DimensionSequence((0, 1, 3))
     spec = UniversalBundleSpec(rho, 1, 2)
     C0 = CurvatureTensor.zero(1, 3)
     chart = chart_for(spec, 1)
-    t = 0.7
     s = 1 + t * t
     fm = curvature_at(spec, C0, ChartPoint([t, 0.0]))
     g1 = 1 << chart.zeta_gen_index(1, 3)
@@ -416,25 +417,13 @@ def test_offcenter_quotient_curvature_exact_values():
     }
     for (b, a, gs, gt), want in expected.items():
         got = fm.entries[b][a].coeff(gs, gt)
-        assert abs(got - want) <= 1e-9, (b, a, got, want)
+        assert abs(got - want) <= 1e-9 * want, (b, a, got, want)
     # everything else in the fiber block vanishes
     for b in range(2):
         for a in range(2):
             for (gs, gt), v in fm.entries[b][a].terms.items():
                 if (b, a, gs, gt) not in expected:
-                    assert abs(v) <= 1e-9
-
-
-def test_curvature_at_rejects_unsuitable_step():
-    # rounding noise scales like eps/h^2, so a far-too-small step drives the
-    # Hermitian defect past the guard (central stencils keep the truncation
-    # error itself Hermitian, so oversized steps surface as inaccuracy
-    # against the exact center formula instead)
-    rho = DimensionSequence((0, 1, 3))
-    spec = UniversalBundleSpec(rho, 1, 2)
-    C = random_tensor(2, 3, 41)
-    with pytest.raises(ArithmeticError):
-        curvature_at(spec, C, ChartPoint([0.4, -0.2j]), fd_step=1e-6)
+                    assert abs(v) <= 1e-9 / s
 
 
 def test_pushforward_rejects_degree_above_base():
@@ -486,7 +475,8 @@ def _every_bundle(max_rank=4):
 def test_exact_coefficients_match_finite_differences_every_bundle():
     # the closed-form vertical block (and the analytic horizontal one)
     # against the fourth-order stencils, at seeded off-center fiber points,
-    # relative to each point's largest coefficient
+    # relative to each point's largest coefficient; the mixed base-fiber
+    # blocks, which the closed form leaves out, must vanish in the stencils
     specs = list(_every_bundle())
     assert len(specs) == 52
     worst = 0.0
@@ -496,12 +486,13 @@ def test_exact_coefficients_match_finite_differences_every_bundle():
         rng = np.random.default_rng(i)
         zeta = 0.7 * (rng.standard_normal((3, chart.d)) + 1j * rng.standard_normal((3, chart.d)))
         exact, H, Hinv = flagnum._exact_coeffs(spec, C, zeta)
-        fd, H_fd, _ = flagnum._curvature_coeffs(spec, C, zeta, include_mixed=False)
-        assert exact.keys() == fd.keys()
+        fd, H_fd, _ = flagnum._curvature_coeffs(spec, C, zeta)
+        assert exact.keys() < fd.keys()
         assert np.abs(H - H_fd).max() <= 1e-12 * np.abs(H_fd).max()
         scale = np.max([np.abs(v).max(axis=(-2, -1)) for v in fd.values()], axis=0)
+        # the mixed base-fiber stencil keys have no exact coefficient: zero
         for key, v in fd.items():
-            gap = np.abs(exact[key] - v).max(axis=(-2, -1)) / scale
+            gap = np.abs(exact.get(key, 0) - v).max(axis=(-2, -1)) / scale
             worst = max(worst, float(gap.max()))
     assert worst <= 1e-8
 
