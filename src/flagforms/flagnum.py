@@ -12,8 +12,12 @@ curvature suite and the tests.
 
 Curvature coefficients are dicts keyed by pairs (a, b) of chart
 generator indices: z_1..z_n, then one zeta per admissible pair.  The
-finite-difference stencils (``_Stencils``) take the same index, shift
-generator a (and b) by its own step and evaluate the metric by ``gram``.
+finite-difference stencils (``_Stencils``) take the same index and shift
+generator a (and b) by its own step.  Induced metrics, at stencil points
+and in ``metric_universal``, come from one samples-last kernel
+(``_induced_metric``): elementwise arithmetic on length-N vectors over
+the frame entries that are not structurally zero, with the quotient
+metric as a Schur complement taken one pivot at a time.
 
 Monte Carlo samples are drawn in fixed-size chunks with per-chunk
 counter-keyed random streams, so an estimate is bit-reproducible for a
@@ -22,7 +26,7 @@ given seed no matter how the chunks would be distributed over workers.
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .formlab import (
     chern_forms,
 )
 from .gysin import pushforward_dp
-from .rootcalc import bundles_in_expression, expand_expression
+from .rootcalc import _resolve_bundle, bundles_in_expression, expand_expression
 
 #: default fourth-order finite-difference step of the oracle stencils
 FD_STEP = 1e-3
@@ -167,32 +171,98 @@ def _bundle_slices(spec):
     return [i - 1 for i in spec.block()], [i - 1 for i in spec.sub_block()]
 
 
-def _metric_from_gram(G, q_idx, s_idx):
-    """Sub-bundle metric is a Gram sub-block; a proper quotient metric is
-    the Schur complement of the sub block."""
-    if not s_idx:
-        return G[..., q_idx, :][..., :, q_idx]
-    A = G[..., q_idx, :][..., :, q_idx]
-    B = G[..., q_idx, :][..., :, s_idx]
-    D = G[..., s_idx, :][..., :, s_idx]
-    X = np.linalg.solve(D, np.conj(np.swapaxes(B, -1, -2)))
-    return A - B @ X
+def _induced_metric(chart, spec, zeta, C=None, z=None):
+    """Induced metric of the universal bundle, samples last: zeta is a
+    (d, N) array, one length-N vector per fiber coordinate, and z an
+    (n, N) array of base offsets, or None when z = 0; returns (rk, rk, N).
+
+    Only the frame columns of the bundle's block and of its sub block
+    enter, and of those only the entries that are not structurally zero:
+    column a of V = I + zeta holds the 1 at row a and zeta_p at row
+    lam_p - 1 for every pair p with mu_p - 1 = a.  The ambient metric
+    delta - sum c[j,k] z_j conj(z_k) enters only when z is given.
+    The Gram matrix G = V^T He conj(V) is Hermitian, so only its upper
+    triangle is formed.  A proper quotient's metric is the Schur complement
+    A - B D^-1 B^H of the sub block D, taken one pivot at a time; D is a
+    Gram block, Hermitian positive definite, so no pivoting is needed.  A
+    point whose Gram matrix is not finite gives NaN.
+    """
+    q_idx, s_idx = _bundle_slices(spec)
+    idx = q_idx + s_idx
+    col = {a: {a: 1.0} for a in idx}  # column a of V as {row: entry}
+    for p, (lam, mu) in enumerate(chart.pairs):
+        if mu - 1 in col:
+            col[mu - 1][lam - 1] = zeta[p]
+    if z is not None:
+        n, r = C.n, chart.r
+        zz = (z[:, None] * np.conj(z)[None, :]).reshape(n * n, z.shape[1])
+        delta = C.coeffs.reshape(n * n, r * r).T @ zz  # Delta[l, m] at row l * r + m
+    G = {}
+    for i, b in enumerate(idx):
+        # He conj(V) at column b, on the rows that columns a <= b hold
+        he = {l: np.conj(v) for l, v in col[b].items()}
+        if z is not None:
+            rows = set().union(*(col[a] for a in idx[: i + 1]))
+            he = {l: he.get(l, 0.0) - sum(delta[l * r + m] * v for m, v in he.items()) for l in rows}
+        for a in idx[: i + 1]:
+            G[a, b] = sum(col[a][l] * he[l] for l in sorted(col[a].keys() & he.keys()))
+    # |G[a, b]|^2 <= G[a, a] G[b, b], so an entry that is not finite shows
+    # on the diagonal
+    finite = np.isfinite(sum(G[a, a].real for a in idx))
+
+    rest = list(idx)
+    for k in s_idx:
+        rest.remove(k)
+        inv = 1 / G[k, k]
+        # column k and row k of G over the indices left: the quotient
+        # indices come before k, the sub-block indices left after it
+        col_k = {j: G[j, k] if j < k else np.conj(G[k, j]) for j in rest}
+        row_k = {j: np.conj(G[j, k]) if j < k else G[k, j] for j in rest}
+        for i_pos, i in enumerate(rest):
+            u = col_k[i] * inv
+            for j in rest[i_pos:]:
+                G[i, j] = G[i, j] - u * row_k[j]
+
+    rk = len(q_idx)
+    H = np.empty((rk, rk, zeta.shape[1]), dtype=complex)
+    for i, a in enumerate(q_idx):
+        H[i, i] = G[a, a]
+        for j, b in enumerate(q_idx[i + 1 :], i + 1):
+            H[i, j] = G[a, b]
+            H[j, i] = np.conj(G[a, b])
+    if not finite.all():
+        H = np.where(finite, H, np.nan)
+    return H
+
+
+def _samples_last(x, shape):
+    """(k, N): the last axis of x, broadcast to shape + (k,), turned into
+    one length-N row per entry, N = prod(shape)."""
+    k = x.shape[-1]
+    return np.broadcast_to(x, shape + (k,)).reshape(math.prod(shape), k).T
+
+
+def _samples_first(H, shape):
+    """shape + (rk, rk) from an (rk, rk, N) kernel result."""
+    return np.moveaxis(H, -1, 0).reshape(shape + H.shape[:2])
 
 
 def metric_universal(spec, C, z, p):
     """Induced metric of the universal bundle at base offset z and fiber
-    point p; raises when the synthetic ambient metric stops being positive
-    definite (z too large)."""
+    point p, either of them batched; raises when the synthetic ambient
+    metric stops being positive definite (z too large)."""
+    chart = chart_for(spec, C.n)
+    zeta = _zeta(chart, p)
     z = np.zeros(C.n, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    He = _ambient_metric(C, z)
     try:
-        np.linalg.cholesky(He)
+        np.linalg.cholesky(_ambient_metric(C, z))
     except np.linalg.LinAlgError:
         raise ValueError(
             "synthetic ambient metric is not positive definite at this z"
         ) from None
-    G = gram(chart_for(spec, C.n), p, C, z)
-    return _metric_from_gram(G, *_bundle_slices(spec))
+    shape = np.broadcast_shapes(zeta.shape[:-1], z.shape[:-1])
+    z = _samples_last(z, shape) if np.any(z) else None
+    return _samples_first(_induced_metric(chart, spec, _samples_last(zeta, shape), C, z), shape)
 
 
 def splitting_u(spec, C, z, p):
@@ -247,54 +317,61 @@ class _Stencils:
     step is shared by all fiber coordinates, so far out in the chart, where
     one coordinate is much larger than another, the stencils lose accuracy.
     The base coordinates keep the plain step fd_step.
+
+    The points are kept samples last, one row per chart generator; each
+    stencil batch shifts them and evaluates the metric at every shifted
+    point of every sample in one call of ``_induced_metric``.
     """
 
     def __init__(self, spec, C, zeta, fd_step):
-        self.C = C
+        self.spec, self.C = spec, C
         self.chart = chart_for(spec, C.n)
-        self.slices = _bundle_slices(spec)
-        n = self.chart.n
-        self.x = np.concatenate([np.zeros(zeta.shape[:-1] + (n,), dtype=complex), zeta], axis=-1)
-        scale = np.sqrt(1.0 + np.sum(np.abs(zeta) ** 2, axis=-1))
-        self.h = [np.full(scale.shape, fd_step)] * n + [fd_step * scale] * self.chart.d
+        self.shape = zeta.shape[:-1]
+        zeta = _samples_last(zeta, self.shape)  # (d, N)
+        n, count = self.chart.n, zeta.shape[1]
+        self.x = np.concatenate([np.zeros((n, count), dtype=complex), zeta])
+        scale = np.sqrt(1.0 + np.sum(np.abs(zeta) ** 2, axis=0))
+        self.h = np.concatenate([np.full((n, count), fd_step), np.tile(fd_step * scale, (len(zeta), 1))])
 
     def _sums(self, moves, weights, denom):
         """Weighted stencil sums of the metric, one per consecutive block of
         len(weights) moves, each divided by the per-sample denom.  A move is
-        a tuple of (generator, shift) pairs whose shifts add up."""
-        x = np.repeat(self.x[None], len(moves), axis=0)
+        a tuple of (a, m, unit) triples, each shifting generator a by m of
+        its steps along unit (1 or 1j).  All moves of all samples go through
+        one call of the metric kernel."""
+        steps = np.zeros((len(self.x), len(moves)), dtype=complex)
         for i, move in enumerate(moves):
-            for a, shift in move:
-                x[i, ..., a] = x[i, ..., a] + shift
+            for a, m, unit in move:
+                steps[a, i] = m * unit
+        x = self.x[:, None, :] + steps[:, :, None] * self.h[:, None, :]  # (n + d, moves, N)
         n = self.chart.n
-        F = _metric_from_gram(gram(self.chart, x[..., n:], self.C, x[..., :n]), *self.slices)
-        return [
-            sum(w * f for w, f in zip(weights, block)) / denom[..., None, None]
-            for block in np.split(F, len(moves) // len(weights))
-        ]
+        x = x.reshape(len(x), x.shape[1] * x.shape[2])
+        z = x[:n] if any(a < n for move in moves for a, _, _ in move) else None
+        F = _induced_metric(self.chart, self.spec, x[n:], self.C, z)
+        F = F.reshape(F.shape[:2] + (len(moves) // len(weights), len(weights), -1))
+        acc = weights[0] * F[..., 0, :]
+        for i in range(1, len(weights)):
+            acc = acc + weights[i] * F[..., i, :]
+        acc = acc / denom
+        return [_samples_first(acc[:, :, block], self.shape) for block in range(acc.shape[2])]
 
     def d1(self, a):
         """d/dg_a of the metric."""
-        h = self.h[a]
-        dx, dy = self._sums(
-            [((a, m * h * unit),) for unit in (1, 1j) for m, _ in _W1], [w for _, w in _W1], 12 * h
-        )
+        moves = [((a, m, unit),) for unit in (1, 1j) for m, _ in _W1]
+        dx, dy = self._sums(moves, [w for _, w in _W1], 12 * self.h[a])
         return 0.5 * (dx - 1j * dy)
 
     def d2(self, a, b):
         """d/dg_a d/dgbar_b of the metric."""
         h_a, h_b = self.h[a], self.h[b]
         if a == b:
-            dxx, dyy = self._sums(
-                [((a, m * h_a * unit),) for unit in (1, 1j) for m, _ in _W2],
-                [w for _, w in _W2],
-                12 * h_a * h_a,
-            )
+            moves = [((a, m, unit),) for unit in (1, 1j) for m, _ in _W2]
+            dxx, dyy = self._sums(moves, [w for _, w in _W2], 12 * h_a * h_a)
             return 0.25 * (dxx + dyy)
         units = ((1, 1), (1, 1j), (1j, 1), (1j, 1j))
         moves = [
-            ((a, ma * h_a * dir_a), (b, mb * h_b * dir_b))
-            for dir_a, dir_b in units
+            ((a, ma, unit_a), (b, mb, unit_b))
+            for unit_a, unit_b in units
             for ma, _ in _W1
             for mb, _ in _W1
         ]
@@ -304,8 +381,8 @@ class _Stencils:
 
 def _bundle_projector(spec, G):
     """The r-column matrix K with H = K G K^H for the induced metric H of
-    the bundle, the inverse of the sub block D of G embedded in an r x r
-    zero matrix (both zero outside the bundle's frame block), and H.
+    the bundle, and the inverse of the sub block D of G embedded in an r x r
+    zero matrix (both zero outside the bundle's frame block).
 
     K is the identity on the quotient block and -B D^-1 on the sub block,
     so K G K^H = A - B D^-1 B^H, the Schur complement.  For a sub-bundle
@@ -318,14 +395,12 @@ def _bundle_projector(spec, G):
     K = np.zeros(shape + (len(q_idx), r), dtype=complex)
     K[..., :, quot] = np.eye(len(q_idx))
     Dinv = np.zeros(shape + (r, r), dtype=complex)
-    H = G[..., quot, quot]
     if s_idx:
         sub = slice(s_idx[0], r)
         D_inv = np.linalg.inv(G[..., sub, sub])
         Dinv[..., sub, sub] = D_inv
         K[..., :, sub] = -_mm(G[..., quot, sub], D_inv)
-        H = H + _mm(K[..., :, sub], G[..., sub, quot])
-    return K, Dinv, H
+    return K, Dinv
 
 
 def _z_hessian(K, V, C):
@@ -361,7 +436,13 @@ def _exact_coeffs(spec, C, zeta):
     chart = chart_for(spec, C.n)
     n, d = chart.n, chart.d
     V = frames_eps(chart, zeta)
-    K, Dinv, H0 = _bundle_projector(spec, np.einsum("...la,...lb->...ab", V, np.conj(V)))
+    G = np.einsum("...la,...lb->...ab", V, np.conj(V))
+    K, Dinv = _bundle_projector(spec, G)
+    q_idx, s_idx = _bundle_slices(spec)
+    quot = slice(q_idx[0], q_idx[-1] + 1)
+    H0 = G[..., quot, quot]
+    if s_idx:
+        H0 = H0 + _mm(K[..., :, s_idx[0] :], G[..., s_idx[0] :, quot])
     H0inv = np.linalg.inv(H0)
 
     coeffs = {}
@@ -402,10 +483,9 @@ def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP):
     chart = chart_for(spec, C.n)
     zeta = _zeta(chart, zeta)
     n, d = chart.n, chart.d
-    G = gram(chart, zeta)
-    H0 = _metric_from_gram(G, *_bundle_slices(spec))
+    H0 = metric_universal(spec, C, None, zeta)
     H0inv = np.linalg.inv(H0)
-    K, _, _ = _bundle_projector(spec, G)
+    K, _ = _bundle_projector(spec, gram(chart, zeta))
     Hhat = _z_hessian(K, frames_eps(chart, zeta), C)
     ev = _Stencils(spec, C, zeta, fd_step)
     base, fiber = range(n), range(n, n + d)
@@ -735,8 +815,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     if k > n:
         raise ValueError(f"output degree {k} exceeds base dimension {n}")
     specs = bundles_in_expression(F_expr, rho)
-
-    from itertools import combinations
+    spec_of = {ref: _resolve_bundle(ref, rho) for _, ref in exprs.chern_symbols(F_expr)}
 
     keys = [
         (bitmask(J), bitmask(K))
@@ -778,14 +857,10 @@ def pushforward_numeric(chart, F_expr, C, sampler):
             hermitian_defect = max(hermitian_defect, herm)
             curv[spec] = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, coeffs))
 
-        def chern_atom(j, ref):
-            from .rootcalc import _resolve_bundle
-
-            spec = _resolve_bundle(ref, rho)
-            return curv[spec][j]
-
         value = exprs.evaluate(
-            F_expr, const=lambda q: ExtForm.scalar(chart.space, q), chern=chern_atom
+            F_expr,
+            const=lambda q: ExtForm.scalar(chart.space, q),
+            chern=lambda j, ref: curv[spec_of[ref]][j],
         )
 
         contrib = {}

@@ -103,6 +103,77 @@ def test_metric_universal_blocks_and_errors():
         metric_universal(spec_sub, C, 100.0 * np.ones(2), p)
 
 
+def _metric_from_gram(G, q_idx, s_idx):
+    """The solve-based reference route for the induced metric: the Gram
+    sub-block of a sub-bundle, the Schur complement of the sub block of a
+    proper quotient."""
+    A = G[..., q_idx, :][..., :, q_idx]
+    if not s_idx:
+        return A
+    B = G[..., q_idx, :][..., :, s_idx]
+    D = G[..., s_idx, :][..., :, s_idx]
+    return A - B @ np.linalg.solve(D, np.conj(np.swapaxes(B, -1, -2)))
+
+
+def _solve_route(chart, spec, zeta, C=None, z=None):
+    """The reference with the samples-last signature of the metric kernel."""
+    G = gram(chart, zeta.T, C, None if z is None else z.T)
+    return np.moveaxis(_metric_from_gram(G, *flagnum._bundle_slices(spec)), 0, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_metric_kernel_matches_the_solve_reference(n):
+    # every bundle with r <= 4 and E over the point fibers (d = 0), at
+    # z = 0 and z != 0, as one batch and point by point, relative to each
+    # point's Gram scale
+    specs = list(_every_bundle()) + [UniversalBundleSpec((0, r), 0, 1) for r in (2, 3, 4)]
+    assert len(specs) == 55
+    worst = 0.0
+    for i, spec in enumerate(specs):
+        C = random_tensor(n, spec.rho.r, 400 + i)
+        chart = chart_for(spec, n)
+        rng = np.random.default_rng(400 + i)
+        zeta = 0.7 * (rng.standard_normal((6, chart.d)) + 1j * rng.standard_normal((6, chart.d)))
+        for z in (None, 0.1 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))):
+            G = gram(chart, zeta, C, z)
+            want = _metric_from_gram(G, *flagnum._bundle_slices(spec))
+            scale = np.abs(G).max(axis=(-2, -1))[:, None, None]
+            batch = metric_universal(spec, C, z, zeta)
+            single = [
+                metric_universal(spec, C, None if z is None else z[k], ChartPoint(zeta[k]))
+                for k in range(len(zeta))
+            ]
+            for got in (batch, np.array(single)):
+                assert got.shape == want.shape, spec
+                worst = max(worst, float((np.abs(got - want) / scale).max()))
+    assert worst <= 1e-14
+
+
+def test_metric_kernel_is_nan_where_the_gram_matrix_is_not_finite():
+    # far out in the chart the Gram matrix overflows; the solve-based route
+    # then returns NaN, inf, or a finite wrong matrix: at (1e200, 1) on
+    # (0,1,3) U2/U1 its sub block D is inf and it returns the identity
+    cases = [
+        ((0, 1, 3), 1, 2, [[1e200, 1], [1, 1e200], [1e155, 1e155], [1e100, 1]]),
+        ((0, 1, 3), 0, 1, [[1e200, 1]]),
+        ((0, 2, 4), 1, 2, [[1e200, 0, 0, 1], [1e170, 1e170, 0, 0], [1, 2, 3, 4]]),
+        ((0, 1, 2, 3), 1, 3, [[1e200, 0, 0], [0, 0, 1e200], [1, 1, 1]]),
+    ]
+    for rho, ell, l, points in cases:
+        spec = UniversalBundleSpec(rho, ell, l)
+        chart = chart_for(spec, 1)
+        zeta = np.array(points, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = gram(chart, zeta)
+            want = _metric_from_gram(G, *flagnum._bundle_slices(spec))
+            got = metric_universal(spec, CurvatureTensor.zero(1, rho[-1]), None, zeta)
+        for k in range(len(zeta)):
+            if np.isfinite(G[k]).all():
+                assert np.abs(got[k] - want[k]).max() <= 1e-14 * np.abs(G[k]).max(), (rho, k)
+            else:
+                assert np.isnan(got[k]).all(), (rho, k, got[k])
+
+
 def test_splitting_first_order():
     rho = DimensionSequence((0, 1, 3))
     spec = UniversalBundleSpec(rho, 1, 2)
@@ -595,6 +666,51 @@ def test_audit_rejects_a_nan_in_the_vertical_block(monkeypatch):
         pushforward_numeric(
             chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=500, seed=3)
         )
+
+
+def test_audit_matches_the_solve_based_metric_route(monkeypatch):
+    # the stencils through the metric kernel against the stencils through
+    # the solve-based reference, on every bundle with r <= 4
+    cases = []
+    for i, spec in enumerate(_every_bundle()):
+        C = griffiths_sample(2, spec.rho.r, terms=3, seed=500 + i)
+        d = chart_for(spec, 2).d
+        rng = np.random.default_rng(500 + i)
+        zeta = 0.7 * (rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d)))
+        cases.append((spec, C, zeta, flagnum._exact_coeffs(spec, C, zeta)[0]))
+
+    def audits():
+        return np.array([flagnum._audit_coeffs(*case, flagnum.FD_STEP) for case in cases])
+
+    kernel = audits()
+    monkeypatch.setattr(flagnum, "_induced_metric", _solve_route)
+    assert np.abs(kernel - audits()).max() <= 1e-10
+
+
+def test_monte_carlo_estimates_do_not_depend_on_the_metric_route(monkeypatch):
+    # the two Monte Carlo cases of the benchmark: the metric route feeds
+    # only the audit, so the estimates are bit-identical and the audit
+    # defects move by rounding alone
+    cases = [
+        ((0, 1, 3), "c1(Q1)^2*c2(Q1)", 31, "auto"),
+        ((0, 2, 4), "c1(Q2)^4*c2(Q2)", 0, "product"),
+    ]
+
+    def estimates():
+        out = []
+        for rho, expr, seed, proposal in cases:
+            C = griffiths_sample(2, rho[-1], terms=4, seed=seed)
+            cfg = SamplerConfig(num_samples=4000, seed=seed, proposal=proposal)
+            out.append(pushforward_numeric(FlagChart(rho, 2), expr, C, cfg))
+        return out
+
+    kernel = estimates()
+    monkeypatch.setattr(flagnum, "_induced_metric", _solve_route)
+    for new, old in zip(kernel, estimates()):
+        assert new.form.terms == old.form.terms
+        assert new.stderr == old.stderr
+        assert abs(new.mixed_block_defect - old.mixed_block_defect) <= 1e-10
+        assert abs(new.vertical_audit_defect - old.vertical_audit_defect) <= 1e-10
 
 
 def test_curvature_at_rejects_non_finite_coefficients():
