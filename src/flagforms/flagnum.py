@@ -19,6 +19,13 @@ and in ``metric_universal``, come from one samples-last kernel
 the frame entries that are not structurally zero, with the quotient
 metric as a Schur complement taken one pivot at a time.
 
+Per-sample arrays are laid out samples last: N fiber points are (d, N),
+and small matrices (rank, rank, ..., N), matrix axes first, so a product
+of small matrices (``_dot``) is a sum of broadcast products of contiguous
+length-N vectors.  A curvature coefficient is such a (rank, rank, N)
+array, the layout ``FormMatrix.from_coeffs`` reads; at a single point it
+is (rank, rank).
+
 Monte Carlo samples are drawn in fixed-size chunks with per-chunk
 counter-keyed random streams, so an estimate is bit-reproducible for a
 given seed no matter how the chunks would be distributed over workers.
@@ -137,10 +144,18 @@ def frames_eps(chart, p):
     holds epsilon_alpha in the ambient basis, i.e. the identity plus
     zeta_(lam,mu) at (lam-1, mu-1)."""
     zeta = _zeta(chart, p)
-    V = np.zeros(zeta.shape[:-1] + (chart.r, chart.r), dtype=complex)
-    V[...] = np.eye(chart.r)
-    for idx, (lam, mu) in enumerate(chart.pairs):
-        V[..., lam - 1, mu - 1] = zeta[..., idx]
+    shape = zeta.shape[:-1]
+    V = _frames(chart, _samples_last(zeta, shape))
+    return np.moveaxis(V, -1, 0).reshape(shape + V.shape[:2])
+
+
+def _frames(chart, Z):
+    """Frames samples last, (r, r, N), from (d, N) fiber coordinates."""
+    r = chart.r
+    V = np.zeros((r, r, Z.shape[1]), dtype=complex)
+    V[range(r), range(r)] = 1.0
+    if chart.d:
+        V[[lam - 1 for lam, _ in chart.pairs], [mu - 1 for _, mu in chart.pairs]] = Z
     return V
 
 
@@ -237,14 +252,9 @@ def _induced_metric(chart, spec, zeta, C=None, z=None):
 
 def _samples_last(x, shape):
     """(k, N): the last axis of x, broadcast to shape + (k,), turned into
-    one length-N row per entry, N = prod(shape)."""
+    one contiguous length-N row per entry, N = prod(shape)."""
     k = x.shape[-1]
-    return np.broadcast_to(x, shape + (k,)).reshape(math.prod(shape), k).T
-
-
-def _samples_first(H, shape):
-    """shape + (rk, rk) from an (rk, rk, N) kernel result."""
-    return np.moveaxis(H, -1, 0).reshape(shape + H.shape[:2])
+    return np.ascontiguousarray(np.broadcast_to(x, shape + (k,)).reshape(math.prod(shape), k).T)
 
 
 def metric_universal(spec, C, z, p):
@@ -262,7 +272,8 @@ def metric_universal(spec, C, z, p):
         ) from None
     shape = np.broadcast_shapes(zeta.shape[:-1], z.shape[:-1])
     z = _samples_last(z, shape) if np.any(z) else None
-    return _samples_first(_induced_metric(chart, spec, _samples_last(zeta, shape), C, z), shape)
+    H = _induced_metric(chart, spec, _samples_last(zeta, shape), C, z)
+    return np.moveaxis(H, -1, 0).reshape(shape + H.shape[:2])
 
 
 def splitting_u(spec, C, z, p):
@@ -289,19 +300,35 @@ _W2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # f'', / 12h^2
 
 
 def _herm_t(X):
-    return np.conj(np.swapaxes(X, -1, -2))
+    """Conjugate transpose over the matrix axes, the first two."""
+    return np.conj(np.swapaxes(X, 0, 1))
 
 
-def _mm(A, B):
-    """A @ B over stacks of small matrices.  Batched matmul pays a fixed
-    cost per matrix, so below four columns of A one broadcast product per
-    column is several times faster; larger factors use matmul."""
-    if A.shape[-1] > 3:
-        return A @ B
-    acc = A[..., :, :1] * B[..., :1, :]
-    for l in range(1, A.shape[-1]):
-        acc = acc + A[..., :, l : l + 1] * B[..., l : l + 1, :]
+def _dot(A, B):
+    """Products of samples-last small matrices, A (i, l, ...) by B (l, j, ...),
+    the trailing axes broadcast: one multiply-add per inner index."""
+    acc = A[:, 0, None] * B[None, 0]
+    for l in range(1, A.shape[1]):
+        acc += A[:, l, None] * B[None, l]
     return acc
+
+
+def _sweep(A, pivots):
+    """Sweep the samples-last array A (m, m, ...) in place on the pivots of
+    a block D: [[A, B], [B^H, D]] becomes [[A - B D^-1 B^H, B D^-1],
+    [D^-1 B^H, -D^-1]], and -A^-1 after every pivot.  Gauss-Jordan without
+    pivoting, stable on the positive definite Gram blocks and metrics here."""
+    for k in pivots:
+        inv = 1 / A[k, k]
+        row, col = A[k] * inv, A[:, k] * inv
+        A -= A[:, k, None] * row[None]
+        A[k], A[:, k], A[k, k] = row, col, -inv
+    return A
+
+
+def _inverse(H):
+    """Inverses of samples-last positive definite matrices."""
+    return -_sweep(H.copy(), range(len(H)))
 
 
 class _Stencils:
@@ -323,15 +350,13 @@ class _Stencils:
     point of every sample in one call of ``_induced_metric``.
     """
 
-    def __init__(self, spec, C, zeta, fd_step):
+    def __init__(self, spec, C, Z, fd_step):
         self.spec, self.C = spec, C
         self.chart = chart_for(spec, C.n)
-        self.shape = zeta.shape[:-1]
-        zeta = _samples_last(zeta, self.shape)  # (d, N)
-        n, count = self.chart.n, zeta.shape[1]
-        self.x = np.concatenate([np.zeros((n, count), dtype=complex), zeta])
-        scale = np.sqrt(1.0 + np.sum(np.abs(zeta) ** 2, axis=0))
-        self.h = np.concatenate([np.full((n, count), fd_step), np.tile(fd_step * scale, (len(zeta), 1))])
+        n, count = self.chart.n, Z.shape[1]
+        self.x = np.concatenate([np.zeros((n, count), dtype=complex), Z])
+        scale = np.sqrt(1.0 + np.sum(np.abs(Z) ** 2, axis=0))
+        self.h = np.concatenate([np.full((n, count), fd_step), np.tile(fd_step * scale, (len(Z), 1))])
 
     def _sums(self, moves, weights, denom):
         """Weighted stencil sums of the metric, one per consecutive block of
@@ -353,7 +378,7 @@ class _Stencils:
         for i in range(1, len(weights)):
             acc = acc + weights[i] * F[..., i, :]
         acc = acc / denom
-        return [_samples_first(acc[:, :, block], self.shape) for block in range(acc.shape[2])]
+        return [acc[:, :, block] for block in range(acc.shape[2])]
 
     def d1(self, a):
         """d/dg_a of the metric."""
@@ -379,50 +404,54 @@ class _Stencils:
         return 0.25 * (mixed[0] + 1j * mixed[1] - 1j * mixed[2] + mixed[3])
 
 
-def _bundle_projector(spec, G):
-    """The r-column matrix K with H = K G K^H for the induced metric H of
-    the bundle, and the inverse of the sub block D of G embedded in an r x r
-    zero matrix (both zero outside the bundle's frame block).
+def _bundle_projector(spec, V):
+    """(K, D^-1, H0) at samples-last frames V (r, r, N): the (rk, r, N)
+    matrix K with H0 = K G K^H the induced metric of the bundle, and the
+    inverse of the sub block D of G = V^T conj(V) in an (r, r, N) zero array.
 
     K is the identity on the quotient block and -B D^-1 on the sub block,
-    so K G K^H = A - B D^-1 B^H, the Schur complement.  For a sub-bundle
-    there is no sub block: K selects the Gram block and D^-1 is empty.
+    so K G K^H = A - B D^-1 B^H, the Schur complement; all three come from
+    one sweep of the bundle's Gram block.  A sub-bundle has no sub block.
     """
-    q_idx, s_idx = _bundle_slices(spec)
-    r = G.shape[-1]
-    shape = G.shape[:-2]
-    quot = slice(q_idx[0], q_idx[-1] + 1)
-    K = np.zeros(shape + (len(q_idx), r), dtype=complex)
-    K[..., :, quot] = np.eye(len(q_idx))
-    Dinv = np.zeros(shape + (r, r), dtype=complex)
-    if s_idx:
-        sub = slice(s_idx[0], r)
-        D_inv = np.linalg.inv(G[..., sub, sub])
-        Dinv[..., sub, sub] = D_inv
-        K[..., :, sub] = -_mm(G[..., quot, sub], D_inv)
-    return K, Dinv
+    q_idx, _ = _bundle_slices(spec)
+    r, lo, rk = len(V), q_idx[0], len(q_idx)
+    hi = lo + rk
+    Vb = V[:, lo:]
+    G = _sweep(_dot(np.swapaxes(Vb, 0, 1), np.conj(Vb)), range(rk, r - lo))
+    K = np.zeros((rk,) + V.shape[1:], dtype=complex)
+    K[:, lo:hi] = np.eye(rk)[:, :, None]
+    K[:, hi:] = -G[:rk, rk:]
+    Dinv = np.zeros_like(V)
+    Dinv[hi:, hi:] = -G[rk:, rk:]
+    return K, Dinv, G[:rk, :rk]
 
 
-def _z_hessian(K, V, C):
-    """Analytic coefficient of z_j conj(z_k) in the metric K G K^H at
-    z = 0, shaped (..., n, n, rk, rk): -W c[j,k] W^H with W = K V^T, since
-    the ambient metric enters the Gram matrix as V^T He conj(V)."""
-    W = _mm(K, np.swapaxes(V, -1, -2))  # (..., rk, r)
-    WC = np.moveaxis(np.tensordot(W, C.coeffs, axes=([-1], [2])), -4, -2)
-    return -_mm(WC, _herm_t(W)[..., None, None, :, :])
+def _base_coeffs(W, C, H0inv):
+    """The base block of the curvature at z = 0, (rk, rk, n, n, N):
+    -(d_j dbar_k H) H0^-1 = W c[j,k] W^H H0^-1 with W = K V^T, since the
+    ambient metric enters the Gram matrix as V^T He conj(V)."""
+    X = _dot(_herm_t(W), H0inv)  # W^H H0^-1
+    M = [[_dot(W, _dot(c[..., None], X)) for c in row] for row in C.coeffs]
+    return np.moveaxis(np.array(M), (0, 1), (2, 3))
+
+
+def _unfold(X, shape):
+    """X with its sample axis unfolded to the batch shape of the points."""
+    return X.reshape(X.shape[:2] + shape)
 
 
 def _exact_coeffs(spec, C, zeta):
     """Curvature coefficients at z = 0 over a batch of fiber points, with
     the vertical block from the exact derivatives of the induced metric.
 
-    Same layout and meaning as ``_curvature_coeffs``, less its mixed blocks.
-    The frames are affine in zeta, V = I + sum_p zeta_p E_p with E_p the
-    single 1 at (lam_p - 1, mu_p - 1), so the Gram matrix G = V^T conj(V)
-    has dG/dzeta_p = E_p^T conj(V) (row mu_p - 1 only), the conjugate
-    derivative its adjoint, and the constant mixed derivative E_p^T E_q.
-    With H = K G K^H (see ``_bundle_projector``), c_p = K e_(mu_p) and
-    g_p = conj(K) conj(V)[lam_p] this gives
+    Same keys, meaning and layout as ``_curvature_coeffs``, less its mixed
+    blocks: for points shaped shape + (d,) each coefficient is (rk, rk) +
+    shape, samples last.  The frames are affine in zeta, V = I + sum_p
+    zeta_p E_p with E_p the single 1 at (lam_p - 1, mu_p - 1), so the Gram
+    matrix G = V^T conj(V) has dG/dzeta_p = E_p^T conj(V) (row mu_p - 1
+    only), the conjugate derivative its adjoint, and the constant mixed
+    derivative E_p^T E_q.  With H = K G K^H (see ``_bundle_projector``),
+    c_p = K e_(mu_p) and g_p = conj(K) conj(V)[lam_p] this gives
 
         dH/dzeta_p                = c_p g_p^T
         d^2 H/dzeta_p dzetabar_q  = a_pq c_p c_q^H - b_pq conj(g_q) g_p^T
@@ -431,63 +460,60 @@ def _exact_coeffs(spec, C, zeta):
     b_pq = D^-1[mu_q, mu_p]; the terms with D^-1 come from the product
     rule on the Schur complement, d(D^-1) = -D^-1 dD D^-1.  The curvature
     coefficient -d dbar H H^-1 + dH H^-1 dbar H H^-1 is then a sum of two
-    outer products per pair (p, q), built for all pairs at once.
+    outer products per pair (p, q), built for all pairs at once as one
+    (rk, rk, d, d, N) array.
     """
     chart = chart_for(spec, C.n)
     n, d = chart.n, chart.d
-    V = frames_eps(chart, zeta)
-    G = np.einsum("...la,...lb->...ab", V, np.conj(V))
-    K, Dinv = _bundle_projector(spec, G)
-    q_idx, s_idx = _bundle_slices(spec)
-    quot = slice(q_idx[0], q_idx[-1] + 1)
-    H0 = G[..., quot, quot]
-    if s_idx:
-        H0 = H0 + _mm(K[..., :, s_idx[0] :], G[..., s_idx[0] :, quot])
-    H0inv = np.linalg.inv(H0)
+    zeta = _zeta(chart, zeta)
+    shape = zeta.shape[:-1]
+    V = _frames(chart, _samples_last(zeta, shape))
+    K, Dinv, H0 = _bundle_projector(spec, V)
+    H0inv = _inverse(H0)
+    lo = _bundle_slices(spec)[0][0]
+    W = _dot(K[:, lo:], np.swapaxes(V, 0, 1)[lo:])  # K V^T
 
-    coeffs = {}
+    blocks = []
     if d:
         lam = [pair[0] - 1 for pair in chart.pairs]
         mu = [pair[1] - 1 for pair in chart.pairs]
-        w = np.conj(V[..., lam, :])  # (..., d, r): rows of conj(V)
-        c = np.swapaxes(K[..., :, mu], -1, -2)  # (..., d, rk)
-        g = _mm(w, _herm_t(K))  # (..., d, rk)
-        g_inv = _mm(g, H0inv)
-        gamma = _mm(g_inv, _herm_t(g))
-        alpha = np.equal.outer(lam, lam).astype(float) - _mm(_mm(w, Dinv), _herm_t(w))
-        beta = np.swapaxes(Dinv[..., mu, :][..., :, mu], -1, -2)
-        M = np.einsum("...pq,...pa,...qb->...pqab", gamma - alpha, c, _mm(np.conj(c), H0inv))
-        M += np.einsum("...pq,...qa,...pb->...pqab", beta, np.conj(g), g_inv)
-        for p in range(d):
-            for q in range(d):
-                coeffs[(n + p, n + q)] = M[..., p, q, :, :]
-
-    M_z = -_mm(_z_hessian(K, V, C), H0inv[..., None, None, :, :])
-    for j in range(n):
-        for k in range(n):
-            coeffs[(j, k)] = M_z[..., j, k, :, :]
-    return coeffs, H0, H0inv
+        c = K[:, mu]  # (rk, d, N): column p is c_p
+        g = np.conj(W[:, lam])  # (rk, d, N): column p is g_p
+        g_inv = _dot(np.swapaxes(H0inv, 0, 1), g)  # column p is (g_p^T H0^-1)^T
+        gamma = _dot(np.swapaxes(g_inv, 0, 1), np.conj(g))  # (d, d, N)
+        alpha = np.equal.outer(lam, lam)[:, :, None] - _dot(_dot(np.conj(V[lam]), Dinv), np.swapaxes(V[lam], 0, 1))
+        beta = np.swapaxes(Dinv[np.ix_(mu, mu)], 0, 1)
+        e = _dot(np.swapaxes(H0inv, 0, 1), np.conj(c))  # column q is (c_q^H H0^-1)^T
+        M = (gamma - alpha) * c[:, None, :, None] * e[None, :, None, :]
+        M += beta * np.conj(g)[:, None, None, :] * g_inv[None, :, :, None]
+        blocks.append((n, M))
+    blocks.append((0, _base_coeffs(W, C, H0inv)))
+    pairs = [(off, B, p, q) for off, B in blocks for p in range(B.shape[2]) for q in range(B.shape[3])]
+    coeffs = {(off + p, off + q): _unfold(B[:, :, p, q], shape) for off, B, p, q in pairs}
+    return coeffs, _unfold(H0, shape), _unfold(H0inv, shape)
 
 
 def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP):
     """Coefficient arrays of the curvature at z = 0 over a batch of fiber
-    points.
+    points, from the finite-difference stencils (the base block analytic).
 
     Returns (coeffs, H0, H0inv): a dict keyed by generator-index pairs
-    (a, b) of the chart with values shaped (..., rk, rk) -- the coefficient
-    of dg_a ^ dgbar_b of the matrix-valued (1,1)-form dbar(dH H^-1), whose
-    (alpha, beta) entry feeds the FormMatrix entry (beta, alpha) -- plus
-    the metric and its inverse at the points (needed downstream for the
-    frame-weighted Hermitian symmetrization).
+    (a, b) of the chart with values shaped (rk, rk) + shape, samples last --
+    the coefficient of dg_a ^ dgbar_b of the matrix-valued (1,1)-form
+    dbar(dH H^-1), whose (alpha, beta) entry feeds the FormMatrix entry
+    (beta, alpha) -- plus the metric and its inverse at the points.
     """
     chart = chart_for(spec, C.n)
     zeta = _zeta(chart, zeta)
+    shape = zeta.shape[:-1]
+    Z = _samples_last(zeta, shape)
     n, d = chart.n, chart.d
-    H0 = metric_universal(spec, C, None, zeta)
-    H0inv = np.linalg.inv(H0)
-    K, _ = _bundle_projector(spec, gram(chart, zeta))
-    Hhat = _z_hessian(K, frames_eps(chart, zeta), C)
-    ev = _Stencils(spec, C, zeta, fd_step)
+    H0 = _induced_metric(chart, spec, Z)
+    H0inv = _inverse(H0)
+    V = _frames(chart, Z)
+    K, _, _ = _bundle_projector(spec, V)
+    Hz = _base_coeffs(_dot(K, np.swapaxes(V, 0, 1)), C, H0inv)
+    ev = _Stencils(spec, C, Z, fd_step)
     base, fiber = range(n), range(n, n + d)
     P = {a: ev.d1(a) for a in range(n + d)}
     # the pair order is the term order of the forms built from these
@@ -499,14 +525,12 @@ def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP):
     coeffs, S = {}, {}
     for a, b in pairs:
         if a < n and b < n:
-            # analytic: the metric is exactly quadratic in z and its first
-            # z-derivatives vanish at z = 0
-            coeffs[(a, b)] = -(Hhat[..., a, b, :, :] @ H0inv)
+            coeffs[(a, b)] = Hz[:, :, a, b]
             continue
         # the metric is Hermitian: the vertical lower triangle mirrors the upper
         S[a, b] = _herm_t(S[b, a]) if n <= b < a else ev.d2(a, b)
-        coeffs[(a, b)] = -(S[a, b] @ H0inv) + P[a] @ H0inv @ _herm_t(P[b]) @ H0inv
-    return coeffs, H0, H0inv
+        coeffs[(a, b)] = _dot(_dot(_dot(P[a], H0inv), _herm_t(P[b])) - S[a, b], H0inv)
+    return {key: _unfold(v, shape) for key, v in coeffs.items()}, _unfold(H0, shape), _unfold(H0inv, shape)
 
 
 def _audit_coeffs(spec, C, zeta, exact, fd_step):
@@ -526,31 +550,32 @@ def _audit_coeffs(spec, C, zeta, exact, fd_step):
     fd, _, _ = _curvature_coeffs(spec, C, zeta, fd_step)
     scale = np.max([np.abs(v).max() for v in fd.values()], initial=1e-300)
     mixed = [np.abs(v).max() for (a, b), v in fd.items() if (a < n) != (b < n)]
-    vertical = [np.abs(exact[key][:count] - v).max() for key, v in fd.items() if min(key) >= n]
+    vertical = [np.abs(exact[key][..., :count] - v).max() for key, v in fd.items() if min(key) >= n]
     return float(np.max(mixed, initial=0.0) / scale), float(np.max(vertical, initial=0.0) / scale)
 
 
-def _symmetrize_coeffs(coeffs, H0, H0inv):
+def _symmetrize_coeffs(coeffs, H0, H0inv, n):
     """Enforce the Hermitian symmetry of a Chern curvature in a holomorphic
     frame, M[b,a] = H M[a,b]^H H^-1 (the plain conjugate-transpose relation
-    holds only in frames that are unitary at the point).  Returns the
-    symmetrized dict and the worst pre-symmetrization defect relative to
-    the overall scale."""
-    scale = max(
-        (float(np.abs(v).max()) for v in coeffs.values() if v.size), default=0.0
-    )
-    defect = 0.0
+    holds only in frames that are unitary at the point), on the two full
+    squares of ``_exact_coeffs``, fiber and base (a < n), each as one
+    (rk, rk, g, g, ...) array.  Returns the symmetrized dict, in the same
+    order, and the worst pre-symmetrization defect relative to the overall
+    scale (NaN if any coefficient is NaN)."""
     out = {}
-    for (a, b), M_ab in coeffs.items():
-        M_ba = coeffs.get((b, a))
-        if M_ba is None:
-            out[(a, b)] = M_ab
+    defect = scale = 0.0
+    gens = sorted({a for a, _ in coeffs})
+    for block in ([a for a in gens if a >= n], [a for a in gens if a < n]):
+        if not block:
             continue
-        partner = _mm(_mm(H0, _herm_t(M_ba)), H0inv)
-        defect = max(defect, float(np.abs(M_ab - partner).max()))
-        out[(a, b)] = 0.5 * (M_ab + partner)
-    rel = defect / scale if scale > 0 else 0.0
-    return out, rel
+        M = np.moveaxis(np.array([[coeffs[(a, b)] for b in block] for a in block]), (0, 1), (2, 3))
+        partner = _dot(_dot(H0[:, :, None, None], _herm_t(np.swapaxes(M, 2, 3))), H0inv[:, :, None, None])
+        defect = np.maximum(defect, np.abs(M - partner).max())
+        scale = np.maximum(scale, np.abs(M).max())
+        sym = 0.5 * (M + partner)
+        out.update({(a, b): sym[:, :, i, j] for i, a in enumerate(block) for j, b in enumerate(block)})
+    rel = defect / scale if scale != 0 else 0.0
+    return out, float(rel)
 
 
 def curvature_at(spec, C, p, with_report=False):
@@ -561,20 +586,20 @@ def curvature_at(spec, C, p, with_report=False):
     eps * cond(H0) exceeds AUDIT_TOL: the induced metric H0, a Schur
     complement, loses about that much relative accuracy."""
     chart = chart_for(spec, C.n)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if not np.isfinite(gram(chart, p)).all():
             raise ArithmeticError("the frame's Gram matrix is not finite (too far out in the chart)")
+        coeffs, H0, H0inv = _exact_coeffs(spec, C, p)
         try:
-            coeffs, H0, H0inv = _exact_coeffs(spec, C, p)
             loss = np.finfo(float).eps * np.linalg.cond(H0)
-        except np.linalg.LinAlgError:  # a Gram block is singular in floating point
+        except np.linalg.LinAlgError:  # H0 is not finite: a Gram block is singular in floating point
             loss = np.inf
         if not loss <= AUDIT_TOL:
             raise ArithmeticError(
                 f"the induced metric loses {loss:.3g} relative accuracy, beyond the "
                 f"tolerance {AUDIT_TOL:g} (too far out in the chart)"
             )
-    coeffs, defect = _symmetrize_coeffs(coeffs, H0, H0inv)
+    coeffs, defect = _symmetrize_coeffs(coeffs, H0, H0inv, chart.n)
     matrix = FormMatrix.from_coeffs(chart.space, spec.rank, coeffs)
     if with_report:
         return matrix, {"hermitian_defect": defect}
@@ -803,44 +828,25 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     k = deg - d
     base_space = GeneratorSpace.base(n)
     if k < 0:
-        return PushforwardEstimate(
-            form=ExtForm.zero(base_space),
-            stderr={},
-            n_samples=0,
-            n_requested=cfg.num_samples,
-            n_nonfinite=0,
-            degree=deg,
-            fiber_dim=d,
-        )
+        return PushforwardEstimate(form=ExtForm.zero(base_space), stderr={}, n_samples=0,
+                                   n_requested=cfg.num_samples, n_nonfinite=0, degree=deg, fiber_dim=d)
     if k > n:
         raise ValueError(f"output degree {k} exceeds base dimension {n}")
     specs = bundles_in_expression(F_expr, rho)
     spec_of = {ref: _resolve_bundle(ref, rho) for _, ref in exprs.chern_symbols(F_expr)}
 
-    keys = [
-        (bitmask(J), bitmask(K))
-        for J in combinations(range(n), k)
-        for K in combinations(range(n), k)
-    ]
+    keys = [(bitmask(J), bitmask(K)) for J in combinations(range(n), k) for K in combinations(range(n), k)]
+    # the sign of the canonical vertical volume against dz_J ^ dzbar_K
+    extract_sign = np.array([(-2j) ** d * (-1.0) ** ((d * (d - 1)) // 2 + K.bit_count() * d) for _, K in keys])
     vmask = chart.vertical_mask()
-    sums = {key: 0.0 + 0.0j for key in keys}
-    sumsq = {key: 0.0 for key in keys}
+    sums = np.zeros(len(keys), dtype=complex)
+    sumsq = np.zeros(len(keys))
     n_finite = 0
-    n_nonfinite = 0
-    audit = np.zeros(2)  # mixed and vertical defects; np.maximum carries a NaN
-    hermitian_defect = 0.0
-
-    total = cfg.num_samples
-    n_chunks = (total + cfg.chunk - 1) // cfg.chunk
-    extract_sign = {}
-    for key in keys:
-        _, K = key
-        kk = K.bit_count()
-        extract_sign[key] = ((-2j) ** d) * ((-1.0) ** ((d * (d - 1)) // 2 + kk * d))
+    audit = np.zeros(3)  # mixed, vertical and Hermitian defects; np.maximum carries a NaN
 
     proposal = _pick_proposal(cfg, chart)
-    for chunk_idx in range(n_chunks):
-        count = min(cfg.chunk, total - chunk_idx * cfg.chunk)
+    for chunk_idx in range(-(-cfg.num_samples // cfg.chunk)):
+        count = min(cfg.chunk, cfg.num_samples - chunk_idx * cfg.chunk)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([cfg.seed, chunk_idx], dtype=np.uint64))
         )
@@ -850,11 +856,11 @@ def pushforward_numeric(chart, F_expr, C, sampler):
         for spec in specs:
             coeffs, H0, H0inv = _exact_coeffs(spec, C, zeta)
             if chunk_idx == 0:
-                audit = np.maximum(
-                    audit, _audit_coeffs(spec, C, zeta[:AUDIT_SAMPLES], coeffs, cfg.fd_step)
+                audit[:2] = np.maximum(
+                    audit[:2], _audit_coeffs(spec, C, zeta[:AUDIT_SAMPLES], coeffs, cfg.fd_step)
                 )
-            coeffs, herm = _symmetrize_coeffs(coeffs, H0, H0inv)
-            hermitian_defect = max(hermitian_defect, herm)
+            coeffs, herm = _symmetrize_coeffs(coeffs, H0, H0inv, n)
+            audit[2] = np.maximum(audit[2], herm)
             curv[spec] = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, coeffs))
 
         value = exprs.evaluate(
@@ -863,26 +869,20 @@ def pushforward_numeric(chart, F_expr, C, sampler):
             chern=lambda j, ref: curv[spec_of[ref]][j],
         )
 
-        contrib = {}
-        finite = np.isfinite(weight)
-        for key in keys:
-            J, K = key
-            full = (J | vmask, K | vmask)
-            arr = value.terms.get(full)
-            if arr is None:
-                contrib[key] = np.zeros(count, dtype=complex)
-            else:
-                contrib[key] = arr * extract_sign[key] * weight
-            finite &= np.isfinite(contrib[key])
-        n_bad = int(count - finite.sum())
-        n_nonfinite += n_bad
+        zero = np.zeros(count, dtype=complex)
+        arrs = np.array([value.terms.get((J | vmask, K | vmask), zero) for J, K in keys])
+        # the algebra keeps all-zero arrays: read as absent, they add no NaN
+        # where the weight is infinite
+        present = arrs.any(axis=1)
+        contrib = np.zeros_like(arrs)
+        contrib[present] = arrs[present] * extract_sign[present, None] * weight
+        finite = np.isfinite(weight) & np.isfinite(contrib).all(axis=0)
         n_finite += int(finite.sum())
-        for key in keys:
-            vals = np.where(finite, contrib[key], 0.0)
-            sums[key] += complex(vals.sum())
-            sumsq[key] += float((np.abs(vals) ** 2).sum())
+        vals = np.where(finite, contrib, 0.0)
+        sums += vals.sum(axis=1)
+        sumsq += (np.abs(vals) ** 2).sum(axis=1)
 
-    mixed_defect, vertical_defect = audit.tolist()
+    mixed_defect, vertical_defect, hermitian_defect = audit.tolist()
     if not mixed_defect <= AUDIT_TOL:
         raise ArithmeticError(
             f"mixed base-fiber curvature blocks do not vanish (defect {mixed_defect:g}); "
@@ -894,14 +894,10 @@ def pushforward_numeric(chart, F_expr, C, sampler):
             f"(relative defect {vertical_defect:g})"
         )
 
-    terms = {}
-    stderr = {}
-    for key in keys:
-        if n_finite == 0:
-            continue
-        mean = sums[key] / n_finite
-        var = max(sumsq[key] / n_finite - abs(mean) ** 2, 0.0)
-        se = math.sqrt(var / n_finite)
+    terms, stderr = {}, {}
+    for key, total, total_sq in (zip(keys, sums.tolist(), sumsq.tolist()) if n_finite else ()):
+        mean = total / n_finite
+        se = math.sqrt(max(total_sq / n_finite - abs(mean) ** 2, 0.0) / n_finite)
         if mean != 0 or se != 0:
             terms[key] = mean
         stderr[key] = se
@@ -910,7 +906,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
         stderr=stderr,
         n_samples=n_finite,
         n_requested=cfg.num_samples,
-        n_nonfinite=n_nonfinite,
+        n_nonfinite=cfg.num_samples - n_finite,
         degree=deg,
         fiber_dim=d,
         mixed_block_defect=mixed_defect,

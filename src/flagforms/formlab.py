@@ -82,7 +82,8 @@ def _merge_sign(a, b):
 
 class ExtForm:
     """Sparse exterior-algebra element with complex coefficients, each a
-    number or a per-sample array; zero coefficients are dropped."""
+    number or a per-sample array.  Zero numbers are dropped; arrays are
+    kept unscanned (``FormMatrix.from_coeffs`` drops all-zero ones)."""
 
     __slots__ = ("space", "terms")
 
@@ -92,8 +93,7 @@ class ExtForm:
         if terms:
             for key, coeff in terms.items():
                 if isinstance(coeff, np.ndarray) and coeff.ndim:  # 0-d: a number
-                    if coeff.any():
-                        self.terms[key] = coeff
+                    self.terms[key] = coeff
                     continue
                 coeff = 0.0 + complex(coeff)
                 if coeff != 0:
@@ -190,8 +190,11 @@ class ExtForm:
                 if (n_t1 * s2.bit_count()) & 1:
                     sign = -sign
                 key = (s1 | s2, t1 | t2)
-                piece = c1 * c2 if sign > 0 else -(c1 * c2)
-                terms[key] = terms[key] + piece if key in terms else piece
+                piece = c1 * c2
+                if key in terms:
+                    terms[key] = terms[key] + piece if sign > 0 else terms[key] - piece
+                else:
+                    terms[key] = piece if sign > 0 else -piece
         return ExtForm(self.space, terms)
 
     def conj(self):
@@ -357,17 +360,18 @@ class FormMatrix:
         """Assemble a matrix of (1,1)-forms from coefficient arrays.
 
         ``coeffs`` maps generator-index pairs (a, b) to arrays shaped
-        (..., rank, rank); entry (beta, alpha) of the matrix collects
-        M[..., alpha, beta] dg_a ^ dgbar_b over all pairs.  With leading
-        axes the coefficients are per-sample arrays, without them numbers.
+        (rank, rank, ...); entry (beta, alpha) of the matrix collects
+        M[alpha, beta] dg_a ^ dgbar_b over all pairs.  With a trailing
+        sample axis the coefficients are per-sample arrays, and those zero
+        at every sample are left out, once; without it they are numbers.
         """
         terms = [[{} for _ in range(rank)] for _ in range(rank)]
         for (a, b), M in coeffs.items():
             key = (1 << a, 1 << b)
-            M = np.moveaxis(M, (-2, -1), (0, 1))
             for alpha in range(rank):
                 for beta in range(rank):
-                    terms[beta][alpha][key] = M[alpha, beta]
+                    if np.ndim(M[alpha, beta]) == 0 or M[alpha, beta].any():
+                        terms[beta][alpha][key] = M[alpha, beta]
         return cls(space, [[ExtForm(space, t) for t in row] for row in terms])
 
     @property

@@ -560,10 +560,10 @@ def test_exact_coefficients_match_finite_differences_every_bundle():
         fd, H_fd, _ = flagnum._curvature_coeffs(spec, C, zeta)
         assert exact.keys() < fd.keys()
         assert np.abs(H - H_fd).max() <= 1e-12 * np.abs(H_fd).max()
-        scale = np.max([np.abs(v).max(axis=(-2, -1)) for v in fd.values()], axis=0)
+        scale = np.max([np.abs(v).max(axis=(0, 1)) for v in fd.values()], axis=0)
         # the mixed base-fiber stencil keys have no exact coefficient: zero
         for key, v in fd.items():
-            gap = np.abs(exact.get(key, 0) - v).max(axis=(-2, -1)) / scale
+            gap = np.abs(exact.get(key, 0) - v).max(axis=(0, 1)) / scale
             worst = max(worst, float(gap.max()))
     assert worst <= 1e-8
 
@@ -595,7 +595,7 @@ def test_batched_chern_forms_match_pointwise_every_bundle():
         coeffs, _, _ = flagnum._exact_coeffs(spec, C, zeta)
         batched = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, coeffs))
         for p in range(len(zeta)):
-            at_p = {key: v[p] for key, v in coeffs.items()}
+            at_p = {key: v[..., p] for key, v in coeffs.items()}
             pointwise = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, at_p))
             assert batched[0] == pointwise[0] == ExtForm.one(chart.space)
             for c_b, c_p in zip(batched[1:], pointwise[1:]):
@@ -608,6 +608,112 @@ def test_batched_chern_forms_match_pointwise_every_bundle():
                 )
                 worst = max(worst, gap / max(scale, 1e-300))
     assert worst <= 1e-12
+
+
+def _herm(X):
+    return np.conj(np.swapaxes(X, -1, -2))
+
+
+def _samples_first_exact_coeffs(spec, C, zeta):
+    """The samples-first exact route that the samples-last one replaced:
+    arrays shaped (N, ..., rk, rk), np.matmul products and LAPACK inverses."""
+    chart = chart_for(spec, C.n)
+    n, d = chart.n, chart.d
+    V = frames_eps(chart, zeta)
+    G = np.einsum("...la,...lb->...ab", V, np.conj(V))
+    q_idx, s_idx = flagnum._bundle_slices(spec)
+    r = G.shape[-1]
+    quot = slice(q_idx[0], q_idx[-1] + 1)
+    K = np.zeros(G.shape[:-2] + (len(q_idx), r), dtype=complex)
+    K[..., :, quot] = np.eye(len(q_idx))
+    Dinv = np.zeros(G.shape, dtype=complex)
+    H0 = G[..., quot, quot]
+    if s_idx:
+        sub = slice(s_idx[0], r)
+        Dinv[..., sub, sub] = np.linalg.inv(G[..., sub, sub])
+        K[..., :, sub] = -G[..., quot, sub] @ Dinv[..., sub, sub]
+        H0 = H0 + K[..., :, sub] @ G[..., sub, quot]
+    H0inv = np.linalg.inv(H0)
+    coeffs = {}
+    if d:
+        lam = [pair[0] - 1 for pair in chart.pairs]
+        mu = [pair[1] - 1 for pair in chart.pairs]
+        w = np.conj(V[..., lam, :])
+        c = np.swapaxes(K[..., :, mu], -1, -2)
+        g = w @ _herm(K)
+        g_inv = g @ H0inv
+        alpha = np.equal.outer(lam, lam) - w @ Dinv @ _herm(w)
+        beta = np.swapaxes(Dinv[..., mu, :][..., :, mu], -1, -2)
+        M = np.einsum("...pq,...pa,...qb->...pqab", g_inv @ _herm(g) - alpha, c, np.conj(c) @ H0inv)
+        M += np.einsum("...pq,...qa,...pb->...pqab", beta, np.conj(g), g_inv)
+        for p in range(d):
+            for q in range(d):
+                coeffs[(n + p, n + q)] = M[..., p, q, :, :]
+    W = K @ np.swapaxes(V, -1, -2)
+    WC = np.moveaxis(np.tensordot(W, C.coeffs, axes=([-1], [2])), -4, -2)
+    M_z = WC @ _herm(W)[..., None, None, :, :] @ H0inv[..., None, None, :, :]
+    for j in range(n):
+        for k in range(n):
+            coeffs[(j, k)] = M_z[..., j, k, :, :]
+    return coeffs, H0, H0inv
+
+
+def _samples_first_symmetrize(coeffs, H0, H0inv):
+    return {(a, b): 0.5 * (M + H0 @ _herm(coeffs[(b, a)]) @ H0inv) for (a, b), M in coeffs.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_exact_route_matches_the_samples_first_route_every_bundle(n):
+    # the raw and the symmetrized coefficients, the metric and its inverse,
+    # at seeded points with |zeta| <= 3, relative to each point's largest
+    # coefficient (its largest metric entry for the metric and the inverse)
+    specs = list(_every_bundle())
+    assert len(specs) == 52
+    worst = 0.0
+    for i, spec in enumerate(specs):
+        C = random_tensor(n, spec.rho.r, 600 + i)
+        d = chart_for(spec, n).d
+        rng = np.random.default_rng(600 + i)
+        u = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
+        zeta = 3 * rng.random((8, 1)) * u / np.linalg.norm(u, axis=1, keepdims=True)
+        got, H, Hinv = flagnum._exact_coeffs(spec, C, zeta)
+        want, H_ref, Hinv_ref = _samples_first_exact_coeffs(spec, C, zeta)
+        assert list(got) == list(want)
+        sym, _ = flagnum._symmetrize_coeffs(got, H, Hinv, n)
+        sym_ref = _samples_first_symmetrize(want, H_ref, Hinv_ref)
+        scale = np.max([np.abs(v).max(axis=(-2, -1)) for v in want.values()], axis=0)
+        pairs = [(got[key], want[key], scale) for key in want] + [(sym[key], sym_ref[key], scale) for key in want]
+        H_scale = np.abs(H_ref).max(axis=(-2, -1))
+        pairs += [(H, H_ref, H_scale), (Hinv, Hinv_ref, np.abs(Hinv_ref).max(axis=(-2, -1)))]
+        for new, old, s in pairs:
+            gap = np.abs(np.moveaxis(new, -1, 0) - old).max(axis=(-2, -1)) / s
+            worst = max(worst, float(gap.max()))
+    assert worst <= 1e-12
+
+
+def test_hermitian_defect_carries_a_nan(monkeypatch):
+    chart = FlagChart((0, 1, 3), 2)
+    C = griffiths_sample(2, 3, terms=2, seed=7)
+    spec = UniversalBundleSpec(chart.rho, 1, 2)
+    rng = np.random.default_rng(0)
+    zeta = 0.7 * (rng.standard_normal((8, chart.d)) + 1j * rng.standard_normal((8, chart.d)))
+    coeffs, H0, H0inv = flagnum._exact_coeffs(spec, C, zeta)
+    coeffs[(2, 3)][0, 1, 5] = np.nan
+    assert math.isnan(flagnum._symmetrize_coeffs(coeffs, H0, H0inv, chart.n)[1])
+
+    # past the audited samples: the sample is dropped and the estimate
+    # reports the NaN
+    exact = flagnum._exact_coeffs
+
+    def one_nan(spec, C, zeta):
+        coeffs, H0, H0inv = exact(spec, C, zeta)
+        coeffs[(C.n, C.n + 1)][0, 0, flagnum.AUDIT_SAMPLES] = np.nan
+        return coeffs, H0, H0inv
+
+    monkeypatch.setattr(flagnum, "_exact_coeffs", one_nan)
+    est = pushforward_numeric(chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=500, seed=3))
+    assert math.isnan(est.hermitian_defect)
+    assert est.n_nonfinite == 1 and est.n_samples == 499
 
 
 def test_pushforward_numeric_reports_audit_and_hermitian_defects():
@@ -650,7 +756,7 @@ def test_audit_rejects_a_nan_in_the_vertical_block(monkeypatch):
     rng = np.random.default_rng(0)
     zeta = 0.7 * (rng.standard_normal((8, chart.d)) + 1j * rng.standard_normal((8, chart.d)))
     coeffs, _, _ = flagnum._exact_coeffs(spec, C, zeta)
-    coeffs[(2, 3)][5, 0, 0] = np.nan
+    coeffs[(2, 3)][0, 0, 5] = np.nan
     mixed, vertical = flagnum._audit_coeffs(spec, C, zeta, coeffs, flagnum.FD_STEP)
     assert mixed <= 1e-8 and math.isnan(vertical)
 

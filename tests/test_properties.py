@@ -1,4 +1,5 @@
-"""Property tests of the exterior algebra and of ChernPoly evaluation.
+"""Property tests of the exterior algebra, of ChernPoly evaluation and of
+the batched exact curvature.
 
 Coefficients are small Gaussian integers, so every product and sum is
 exact in floating point and the laws can be checked with equality.  The
@@ -11,9 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagforms import flagnum
 from flagforms.charpoly import ChernPoly
-from flagforms.combinat import bitmask
-from flagforms.formlab import ExtForm, GeneratorSpace
+from flagforms.combinat import bitmask, dimension_sequences
+from flagforms.formlab import ExtForm, GeneratorSpace, griffiths_sample
+from flagforms.rootcalc import UniversalBundleSpec
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -113,3 +116,32 @@ def test_chern_poly_evaluated_at_constants_is_a_number(p, x):
         Fraction(0),
     )
     assert p.evaluate(images, Fraction) == expected
+
+
+BUNDLES = [
+    UniversalBundleSpec(rho, ell, l)
+    for r in (2, 3, 4)
+    for rho in dimension_sequences(r, min_steps=2)
+    for ell in range(rho.m)
+    for l in range(ell + 1, rho.m + 1)
+]
+
+
+@DERANDOMIZED
+@given(st.sampled_from(BUNDLES), st.integers(1, 2), st.integers(1, 4), st.data())
+def test_exact_curvature_of_a_batch_is_that_of_each_point(spec, n, count, data):
+    # the samples-last route must keep samples apart: the coefficients,
+    # symmetrized or not, of a batch equal those of each point on its own
+    d = flagnum.chart_for(spec, n).d
+    zeta = np.array([[complex(data.draw(small), data.draw(small)) for _ in range(d)] for _ in range(count)])
+    C = griffiths_sample(n, spec.rho.r, terms=2, seed=data.draw(st.integers(0, 99)))
+    batch = flagnum._exact_coeffs(spec, C, zeta)
+    batch_sym = flagnum._symmetrize_coeffs(*batch, n)[0]
+    for i in range(count):
+        point = flagnum._exact_coeffs(spec, C, zeta[i])
+        point_sym = flagnum._symmetrize_coeffs(*point, n)[0]
+        assert batch[0].keys() == point[0].keys()
+        for key in point[0]:
+            assert np.array_equal(batch[0][key][..., i], point[0][key]), key
+            assert np.array_equal(batch_sym[key][..., i], point_sym[key]), key
+        assert np.array_equal(batch[1][..., i], point[1])
