@@ -5,11 +5,49 @@ Coefficients are exact rationals throughout (Python int / Fraction); no
 floating point enters this module.  Monomials are keyed by exponent tuples
 (a_1, ..., a_r) and the weighted degree of c_1^{a_1}...c_r^{a_r} is
 sum(i * a_i).  The stored order for serialization is graded lexicographic.
+
+Terms are read-only mappings, so the polynomials that ``schur``,
+``gen_schur`` and ``segre_polys`` keep in module caches cannot be changed by
+a caller.  A product of two polynomials runs on packed monomials: each
+exponent tuple becomes one int with an exponent in each little-endian field
+of equal byte width, so multiplying monomials is adding ints, and the
+coefficients are integer numerators over one common denominator per
+operand (Monagan & Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007).
 """
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import attrgetter
+from types import MappingProxyType
 
 from .combinat import Partition, partitions_of, perm_sign
+
+_denominator = attrgetter("denominator")
+
+
+def _pack(exps, width):
+    """Packed keys of exponent tuples, each exponent in a little-endian
+    field of ``width`` bytes.  One-byte fields, the common case, are the
+    bytes of the tuple itself."""
+    if width == 1:
+        return [int.from_bytes(bytes(e), "little") for e in exps]
+    return [
+        int.from_bytes(b"".join([a.to_bytes(width, "little") for a in e]), "little")
+        for e in exps
+    ]
+
+
+def _unpack(keys, r, width):
+    """Exponent tuples of packed keys; inverse of ``_pack``."""
+    size = r * width
+    if width == 1:
+        return [tuple(k.to_bytes(size, "little")) for k in keys]
+    return [
+        tuple(int.from_bytes(b[i : i + width], "little") for i in range(0, size, width))
+        for b in (k.to_bytes(size, "little") for k in keys)
+    ]
 
 
 def _norm_coeff(c):
@@ -26,12 +64,15 @@ def _norm_coeff(c):
 class ChernPoly:
     """Sparse polynomial in c_1..c_r with exact rational coefficients.
 
-    ``terms`` maps exponent tuples of length ``r`` to nonzero coefficients,
-    e.g. for r = 3 the polynomial c_1^3 + 2 c_1 c_2 - c_3 is stored as
-    {(3,0,0): 1, (1,1,0): 2, (0,0,1): -1}.
+    ``terms`` is a read-only mapping from exponent tuples of length ``r`` to
+    nonzero coefficients, e.g. for r = 3 the polynomial c_1^3 + 2 c_1 c_2 -
+    c_3 has terms {(3,0,0): 1, (1,1,0): 2, (0,0,1): -1}.
     """
 
-    __slots__ = ("r", "terms")
+    __slots__ = ("r", "_terms", "_packing")
+
+    #: variable name stem, and the key of the exponent lists in JSON
+    _var, _exps_key = "c", "exps"
 
     #: weight of variable i (1-based) in the graded degree
     @staticmethod
@@ -53,7 +94,44 @@ class ChernPoly:
                 coeff = _norm_coeff(coeff)
                 if coeff != 0:
                     clean[exps] = coeff
-        self.terms = clean
+        self._terms = MappingProxyType(clean)
+        self._packing = None
+
+    @property
+    def terms(self):
+        return self._terms
+
+    @classmethod
+    def _wrap(cls, r, terms):
+        """An instance that takes ownership of a checked terms dict."""
+        out = cls.__new__(cls)
+        out.r = r
+        out._terms = MappingProxyType(terms)
+        out._packing = None
+        return out
+
+    def _packed(self, width=1):
+        """(width, keys, numerators, denominator) of the terms, in order.
+
+        The coefficients are integer numerators over one common denominator.
+        The keys pack the exponents in fields of ``width`` or more bytes,
+        wide enough for twice the largest exponent, so that adding two keys
+        never carries from one field into the next.  The narrowest such
+        packing is cached: the terms cannot change.
+        """
+        packing = self._packing
+        if packing is None:
+            terms = self._terms
+            top = max(chain.from_iterable(terms), default=0)
+            coeffs = terms.values()
+            den = lcm(*map(_denominator, coeffs))
+            if den != 1:
+                coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+            natural = max(1, ((2 * top).bit_length() + 7) // 8)
+            packing = self._packing = (natural, _pack(terms, natural), coeffs, den)
+        if width > packing[0]:
+            return (width, _pack(self._terms, width)) + packing[2:]
+        return packing
 
     # -- constructors -------------------------------------------------
 
@@ -73,7 +151,7 @@ class ChernPoly:
     def gen(cls, r, j):
         """The variable c_j (1 <= j <= r)."""
         if not 1 <= j <= r:
-            raise ValueError(f"c_{j} is not a variable for rank {r}")
+            raise ValueError(f"{cls._var}_{j} is not a variable for rank {r}")
         exps = [0] * r
         exps[j - 1] = 1
         return cls(r, {tuple(exps): 1})
@@ -85,65 +163,68 @@ class ChernPoly:
             raise ValueError(f"rank mismatch: {self.r} vs {other.r}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self).const(self.r, other)
         if type(other) is not type(self):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.const(self.r, other)
         self._check_rank(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
+        terms = self._terms.copy()
+        for exps, coeff in other._terms.items():
             new = terms.get(exps, 0) + coeff
             if new == 0:
                 terms.pop(exps, None)
             else:
                 terms[exps] = new
-        out = type(self).__new__(type(self))
-        out.r = self.r
-        out.terms = terms
-        return out
+        return self._wrap(self.r, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = type(self).__new__(type(self))
-        out.r = self.r
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._wrap(self.r, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self).const(self.r, other)
         if type(other) is not type(self):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.const(self.r, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not type(self):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 return type(self)(self.r, {})
-            out = type(self).__new__(type(self))
-            out.r = self.r
-            out.terms = {e: _norm_coeff(c * other) for e, c in self.terms.items()}
-            return out
-        if type(other) is not type(self):
-            return NotImplemented
+            return self._wrap(
+                self.r, {e: _norm_coeff(c * other) for e, c in self._terms.items()}
+            )
         self._check_rank(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(e, 0) + c1 * c2
-                if new == 0:
-                    terms.pop(e, None)
+        a = self._packing or self._packed()
+        b = other._packing or other._packed()
+        if a[0] != b[0]:
+            a, b = self._packed(b[0]), other._packed(a[0])
+        width, keys1, nums1, den1 = a
+        _, keys2, nums2, den2 = b
+        acc = {}
+        get = acc.get
+        for k1, n1 in zip(keys1, nums1):
+            for k2, n2 in zip(keys2, nums2):
+                k = k1 + k2
+                new = get(k, 0) + n1 * n2
+                # a sum that cancels drops its key, so a later term of that
+                # monomial goes to the end, as in the tuple-key product
+                if new:
+                    acc[k] = new
                 else:
-                    terms[e] = new
-        out = type(self).__new__(type(self))
-        out.r = self.r
-        out.terms = terms
-        return out
+                    del acc[k]
+        den = den1 * den2
+        coeffs = acc.values()
+        if den != 1:
+            coeffs = [_norm_coeff(Fraction(n, den)) for n in coeffs]
+        return self._wrap(self.r, dict(zip(_unpack(acc, self.r, width), coeffs)))
 
     __rmul__ = __mul__
 
@@ -161,10 +242,10 @@ class ChernPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self).const(self.r, other)
         if type(other) is not type(self):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.const(self.r, other)
         return self.r == other.r and self.terms == other.terms
 
     def __hash__(self):
@@ -215,16 +296,13 @@ class ChernPoly:
             self.terms.items(), key=lambda item: (self.monomial_degree(item[0]), item[0])
         )
 
-    def _varname(self, j):
-        return f"c{j}"
-
     def __str__(self):
         if not self.terms:
             return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
             factors = [
-                f"{self._varname(i + 1)}^{a}" if a > 1 else self._varname(i + 1)
+                f"{self._var}{i + 1}^{a}" if a > 1 else f"{self._var}{i + 1}"
                 for i, a in enumerate(exps)
                 if a
             ]
@@ -250,7 +328,7 @@ class ChernPoly:
         return {
             "rank": self.r,
             "terms": [
-                {"coeff": str(Fraction(c)), "exps": list(e)}
+                {"coeff": str(Fraction(c)), self._exps_key: list(e)}
                 for e, c in self.sorted_terms()
             ],
         }
@@ -259,7 +337,7 @@ class ChernPoly:
     def from_json(cls, data):
         return cls(
             data["rank"],
-            {tuple(t["exps"]): Fraction(t["coeff"]) for t in data["terms"]},
+            {tuple(t[cls._exps_key]): Fraction(t["coeff"]) for t in data["terms"]},
         )
 
 
@@ -289,10 +367,11 @@ def det_poly(rows, one, zero):
             if not cols & bit:
                 continue
             entry = rows[row][j]
-            if entry is not None and not (hasattr(entry, "is_zero") and entry.is_zero()):
+            if entry is not None and not entry.is_zero():
                 sub = minor(row + 1, cols & ~bit)
-                term = entry * sub
-                total = total + term if sign > 0 else total - term
+                if not sub.is_zero():
+                    term = entry * sub
+                    total = total + term if sign > 0 else total - term
             sign = -sign
         memo[key] = total
         return total

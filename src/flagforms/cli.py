@@ -29,8 +29,11 @@ def _parse_rho(text):
         raise SystemExit(f"bad --rho value {text!r}: {exc}") from None
 
 
-def _parse_ints(text, flag=None, count=None):
-    values = tuple(int(x) for x in text.split(",") if x != "")
+def _parse_ints(text, flag, count=None):
+    try:
+        values = tuple(int(x) for x in text.split(",") if x != "")
+    except ValueError as exc:
+        raise SystemExit(f"bad {flag} value {text!r}: {exc}") from None
     if count is not None and len(values) != count:
         raise SystemExit(f"{flag} needs {count} comma-separated integers, got {text!r}")
     return values
@@ -93,7 +96,7 @@ def _checks_report(checks, as_json):
 
 def cmd_schur(args):
     _require_positive("--rank", args.rank)
-    sigma = Partition(_parse_ints(args.sigma))
+    sigma = Partition(_parse_ints(args.sigma, "--sigma"))
     poly = schur(sigma, args.rank)
     payload = {"sigma": list(sigma.parts), "rank": args.rank, "polynomial": str(poly)}
     if args.json:

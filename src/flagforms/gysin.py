@@ -140,7 +140,7 @@ def _vandermonde_within(blocks, r):
 def _divide_linear(poly, i, j):
     """Exact division by (xi_i - xi_j); raises if the remainder is nonzero."""
     r = poly.r
-    work = dict(poly.terms)
+    work = poly.terms.copy()
     out = {}
     while work:
         exps = max(work, key=lambda e: e[i - 1])
@@ -202,10 +202,10 @@ def _oracle_raw(F, rho):
     rho = as_dimension_sequence(rho)
     r = rho.r
     blocks = root_blocks(rho)
-    delta_p = _vandermonde_within(blocks, r)
+    F_delta = F * _vandermonde_within(blocks, r)
     numerator = RootPoly.zero(r)
     for w in _coset_representatives(blocks, r):
-        term = apply_permutation(F * delta_p, w)
+        term = apply_permutation(F_delta, w)
         numerator = numerator + term * perm_sign(w)
     if numerator.is_zero():
         return ChernPoly.zero(r)

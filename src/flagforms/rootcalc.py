@@ -20,37 +20,12 @@ class RootPoly(ChernPoly):
     """Sparse polynomial in xi_1..xi_r; exponent tuples are plain degrees
     (no Chern weighting), coefficients exact rationals."""
 
+    __slots__ = ()
+    _var, _exps_key = "xi", "xi_exps"
+
     @staticmethod
     def _weight(i):
         return 1
-
-    def _varname(self, j):
-        return f"xi{j}"
-
-    @classmethod
-    def gen(cls, r, j):
-        """The variable xi_j (1 <= j <= r)."""
-        if not 1 <= j <= r:
-            raise ValueError(f"xi_{j} is not a variable for rank {r}")
-        exps = [0] * r
-        exps[j - 1] = 1
-        return cls(r, {tuple(exps): 1})
-
-    def to_json(self):
-        return {
-            "rank": self.r,
-            "terms": [
-                {"coeff": str(Fraction(c)), "xi_exps": list(e)}
-                for e, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            data["rank"],
-            {tuple(t["xi_exps"]): Fraction(t["coeff"]) for t in data["terms"]},
-        )
 
 
 class UniversalBundleSpec:
@@ -128,15 +103,13 @@ def universal_total_chern(spec):
 
 def apply_permutation(poly, w):
     """Relabel variables by xi_i -> xi_{w(i)} (w a 1-based permutation tuple)."""
-    r = poly.r
-    terms = {}
-    for exps, coeff in poly.terms.items():
-        new = [0] * r
-        for i in range(r):
-            new[w[i] - 1] = exps[i]
-        key = tuple(new)
-        terms[key] = terms.get(key, 0) + coeff
-    return type(poly)(r, terms)
+    # exponent k of the image is exponent w^-1(k) of the input; a
+    # permutation maps distinct monomials to distinct monomials
+    inverse = [0] * poly.r
+    for i, image in enumerate(w):
+        inverse[image - 1] = i
+    terms = {tuple(map(e.__getitem__, inverse)): c for e, c in poly.terms.items()}
+    return type(poly)._wrap(poly.r, terms)
 
 
 def is_block_symmetric(poly, rho):

@@ -188,6 +188,25 @@ def test_schurvector_json_roundtrip():
     assert SchurVector.from_json(data) == v
 
 
+def test_cached_values_are_read_only():
+    s = schur((1,), 2)
+    segre = segre_polys(2, 2)
+    with pytest.raises(TypeError):
+        s.terms[(1, 0)] = 5
+    with pytest.raises(TypeError):
+        del segre[1].terms[(1, 0)]
+    with pytest.raises(AttributeError):
+        segre[1].terms.clear()
+    with pytest.raises(AttributeError):
+        s.terms = {}
+    assert schur((1,), 2) == c(2, 1)
+    assert segre_polys(2, 2)[1] == -c(2, 1)
+    # results of arithmetic are read-only too
+    for p in (s + s, -s, s * 3, s * s):
+        with pytest.raises(TypeError):
+            p.terms[(0, 1)] = 1
+
+
 def test_pow_and_arithmetic():
     r = 2
     p = c(r, 1) + 1

@@ -222,6 +222,22 @@ def test_cone_target_must_be_two_integers(capsys, target):
     assert err == f"error: --target needs 2 comma-separated integers, got {target!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["schur", "--sigma", "2,x", "--rank", "3"], "--sigma"),
+        (["cone", "--family", "fcone-r2", "--target", "1,x"], "--target"),
+        (["curvature", "--rho", "0,1,2", "--spec", "1,x", "--tensor", "unused.json"], "--spec"),
+    ],
+)
+def test_non_integer_list_names_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    text = argv[argv.index(flag) + 1]
+    assert err == f"error: bad {flag} value {text!r}: invalid literal for int() with base 10: 'x'\n"
+
+
 def test_verify_rejects_a_negative_seed(capsys):
     argv = ("verify", "--suite", "gysin-numeric", "--samples", "10")
     code, out, err = run(capsys, *argv, "--seed", "-1")
@@ -294,6 +310,20 @@ GOLDEN_JSON = [
     (
         ["pushforward", "--rho", "0,2,5,8", "--expr", "c1(U2/U1)^10*c2(U1)^5*c1(E)^3"],
         "b16adc134f970c24ce93fc46c1c84d1dcc6129e5403a06d2064221835c39005d",
+    ),
+    (
+        ["pushforward", "--rho", "0,4,8", "--expr", "c1(Q4)^16*c2(Q4)^2"],
+        "12b088fc76f15bf62cd24445baac121b1507792293b1ff89badb7b21511522c1",
+    ),
+    (
+        [
+            "pushforward",
+            "--rho",
+            "0,2,5",
+            "--expr",
+            "7/3*c1(Q2)^5*c2(Q2)^2*c3(Q2) - 5/2*c1(Q2)^4*c2(Q2)^3*c2(E)",
+        ],
+        "698746c0ee4955a36f3b90c519f7cc2f13bcf8b3daddc2bfcc51dca306d5f98c",
     ),
 ]
 

@@ -1,7 +1,8 @@
-"""Property tests of the exterior algebra, of ChernPoly evaluation and of
-the batched exact curvature.
+"""Property tests of the exterior algebra, of the exact polynomial ring and
+its push-forward, of ChernPoly evaluation and of the batched exact
+curvature.
 
-Coefficients are small Gaussian integers, so every product and sum is
+Form coefficients are small Gaussian integers, so every product and sum is
 exact in floating point and the laws can be checked with equality.  The
 profile is derandomized: the examples are the same on every run.
 """
@@ -16,7 +17,8 @@ from flagforms import flagnum
 from flagforms.charpoly import ChernPoly
 from flagforms.combinat import bitmask, dimension_sequences
 from flagforms.formlab import ExtForm, GeneratorSpace, griffiths_sample
-from flagforms.rootcalc import UniversalBundleSpec
+from flagforms.gysin import pushforward_dp
+from flagforms.rootcalc import RootPoly, UniversalBundleSpec, block_symmetrize
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -116,6 +118,94 @@ def test_chern_poly_evaluated_at_constants_is_a_number(p, x):
         Fraction(0),
     )
     assert p.evaluate(images, Fraction) == expected
+
+
+def reference_product(p, q):
+    """The product term by term on exponent tuples, in the order of the
+    packed product: the route that the packed product replaced."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            new = terms.get(e, 0) + c1 * c2
+            if new == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = new
+    return terms
+
+
+#: exponents on both sides of every packing width: a field of w bytes holds
+#: exponents up to 2**(8w - 1) - 1, whose sums stay below 2**(8w)
+EXPONENTS = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([127, 128, 255, 256, 32767, 32768, 2**31 - 1, 2**31, 2**63 - 1, 2**63]),
+)
+RING_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def ring_polys(draw, cls, r, exponents=EXPONENTS):
+    exps = st.tuples(*[exponents] * r)
+    return cls(r, draw(st.dictionaries(exps, RING_COEFFS, max_size=5)))
+
+
+@st.composite
+def ring_pairs(draw):
+    """Two polynomials of one class and rank.  The second one is often the
+    first with some signs flipped, so that cross terms cancel."""
+    cls = draw(st.sampled_from([ChernPoly, RootPoly]))
+    r = draw(st.integers(1, 3))
+    p = draw(ring_polys(cls, r))
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.sampled_from([1, -1]), min_size=len(p.terms), max_size=len(p.terms)))
+        return p, cls(r, {e: c * f for (e, c), f in zip(p.terms.items(), flips)})
+    return p, draw(ring_polys(cls, r))
+
+
+@DERANDOMIZED
+@given(ring_pairs())
+def test_product_equals_the_tuple_key_product_in_order(pair):
+    p, q = pair
+    product = p * q
+    assert type(product) is type(p)
+    assert list(product.terms.items()) == list(reference_product(p, q).items())
+    # the result is itself an operand, with exponents up to twice as large
+    assert list((product * q).terms.items()) == list(reference_product(product, q).items())
+    assert list((product * product).terms.items()) == list(reference_product(product, product).items())
+
+
+def test_product_of_cancelling_factors_keeps_the_reference_order():
+    x, y, z = (RootPoly.gen(3, j) for j in (1, 2, 3))
+    p = x * Fraction(1, 2) + y * 3 + z
+    q = x * Fraction(1, 2) - y * 3 + z * Fraction(-1, 5)
+    assert list((p * q).terms.items()) == list(reference_product(p, q).items())
+    assert (p - p) * q == RootPoly.zero(3)
+    assert (x + y) * (x - y) == x * x - y * y
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_product_is_a_commutative_ring_law(data):
+    cls = data.draw(st.sampled_from([ChernPoly, RootPoly]))
+    r = data.draw(st.integers(1, 3))
+    p, q, s = (data.draw(ring_polys(cls, r)) for _ in range(3))
+    assert p * q == q * p
+    assert (p * q) * s == p * (q * s)
+    assert p * (q + s) == p * q + p * s
+
+
+@DERANDOMIZED
+@given(st.sampled_from([rho for r in (2, 3, 4) for rho in dimension_sequences(r, min_steps=2)]), st.data())
+def test_pushforward_is_linear(rho, data):
+    r = rho.r
+    small_exps = st.integers(0, 2)
+    F, G = (block_symmetrize(data.draw(ring_polys(RootPoly, r, small_exps)), rho) for _ in range(2))
+    a, b = data.draw(RING_COEFFS), data.draw(RING_COEFFS)
+    assert pushforward_dp(F * a + G * b, rho) == pushforward_dp(F, rho) * a + pushforward_dp(G, rho) * b
 
 
 BUNDLES = [
