@@ -17,16 +17,17 @@ from math import gcd
 class RayFamily2D:
     """A parametric family of rays in the plane.
 
-    ``coords`` maps a tuple of Fractions (the ordered parameters) to an
-    exact coordinate pair; ``domain`` is the parameter-domain predicate,
+    ``coords`` maps a tuple of exact numbers (the ordered parameters) to
+    an exact coordinate pair; ``domain`` is the parameter-domain predicate,
     e.g. a > b >= 0.  Coordinate polynomials are homogeneous in the
-    parameters, so sampling a normalized simplex slice sees every ray.
+    parameters and domains are cones, so sampling the integer points of a
+    scaled simplex slice sees every ray.
     """
 
     name: str
     nparams: int
-    coords: object  # Callable[tuple[Fraction, ...]] -> (Fraction, Fraction)
-    domain: object  # Callable[tuple[Fraction, ...]] -> bool
+    coords: object  # Callable[tuple[int | Fraction, ...]] -> (number, number)
+    domain: object  # Callable[tuple[int | Fraction, ...]] -> bool
     description: str = ""
 
 
@@ -116,17 +117,16 @@ def _slope_key(ray):
 
 
 def _simplex_grid(nparams, denom):
-    """Rational points on the slice a + b (+ c) = 1 with denominators <= denom."""
+    """Integer points on the slice a + b (+ c) = denom: the homogeneous
+    coordinates of the rational slice a + b (+ c) = 1 with denominators
+    <= denom, ordered as that slice."""
     if nparams == 2:
         for i in range(0, denom + 1):
-            b = Fraction(i, denom)
-            yield (1 - b, b)
+            yield (denom - i, i)
     elif nparams == 3:
         for i in range(0, denom + 1):
             for j in range(0, i + 1):
-                b = Fraction(i, denom)
-                c = Fraction(j, denom)
-                yield (1 - b - c, b, c)
+                yield (denom - i - j, i, j)
     else:
         raise ValueError(f"unsupported parameter count {nparams}")
 

@@ -15,15 +15,21 @@ products, FormMatrix assembly, Chern forms -- is the same code for both;
 the diagnostics (norm, equality, repr) and positivity evaluation need
 number coefficients.
 
+Determinants come from one routine, ``_laplace_minors``: Laplace expansion
+along the rows with the minors memoized by column subset.  Chern forms
+take the (s, s) pieces of the wedge determinant det(1 + (i/2 pi) M), and
+positivity sampling takes the k x k minors of batched k-frames from it.
+
 Unlike the symbolic modules this one runs on floating point, since its
 inputs (curvature tensors) are numeric.  Tolerances are module constants.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .combinat import bitmask, mask_indices, perm_sign
+from .combinat import bitmask, mask_indices
 
 #: tolerance for Hermitian-symmetry validation of curvature tensors
 HERMITIAN_TOL = 1e-10
@@ -67,9 +73,11 @@ class GeneratorSpace:
         return f"GeneratorSpace({self.names!r})"
 
 
+@lru_cache(maxsize=None)
 def _merge_sign(a, b):
     """Sign of sorting the concatenation of two disjoint ascending index
-    sets (a then b) into ascending order."""
+    sets (a then b) into ascending order.  Memoized: N generators give at
+    most 3^N disjoint pairs."""
     sign = 1
     bb = b
     while bb:
@@ -180,14 +188,15 @@ class ExtForm:
         if not isinstance(other, ExtForm):
             raise TypeError(f"cannot wedge with {type(other)!r}")
         self._check_space(other)
+        right = [(s2, t2, c2, s2.bit_count() & 1) for (s2, t2), c2 in other.terms.items()]
         terms = {}
         for (s1, t1), c1 in self.terms.items():
-            n_t1 = t1.bit_count()
-            for (s2, t2), c2 in other.terms.items():
+            odd_t1 = t1.bit_count() & 1
+            for s2, t2, c2, odd_s2 in right:
                 if s1 & s2 or t1 & t2:
                     continue
                 sign = _merge_sign(s1, s2) * _merge_sign(t1, t2)
-                if (n_t1 * s2.bit_count()) & 1:
+                if odd_t1 & odd_s2:
                     sign = -sign
                 key = (s1 | s2, t1 | t2)
                 piece = c1 * c2
@@ -440,45 +449,55 @@ def base_curvature_matrix(C, space=None):
     )
 
 
+def _laplace_minors(rows, ncols, one, zero):
+    """The minors of a k-row matrix with commuting entries, by Laplace
+    expansion along the rows, keyed by column bitmask.
+
+    The minor on ``cols`` is the determinant of the last popcount(cols)
+    rows on those columns.  Masks are filled in increasing order, so a
+    mask's sub-masks are ready before it.  An entry whose sub-minor is
+    ``one`` is taken as it is, not multiplied by it, and a cofactor sign
+    negates the entry, not the product, so per-sample arrays are not
+    copied by a product with 1 or by a negation of a whole minor.
+    """
+    k = len(rows)
+    minors = {0: one}
+    for cols in range(1, 1 << ncols):
+        row = k - cols.bit_count()
+        if row < 0:
+            continue
+        total = zero
+        for pos, j in enumerate(mask_indices(cols)):
+            entry = -rows[row][j] if pos & 1 else rows[row][j]
+            sub = minors[cols & ~(1 << j)]
+            total = total + (entry if sub is one else entry * sub)
+        minors[cols] = total
+    return minors
+
+
 def wedge_det(entries, one, zero):
     """Determinant of a small matrix of commuting even-degree elements,
-    generic in the algebra."""
-    from itertools import permutations
-
+    generic in the algebra: 2^k memoized minors, not k! products."""
     k = len(entries)
-    if k == 0:
-        return one
-    acc = zero
-    for perm in permutations(range(k)):
-        sign = perm_sign(perm)
-        prod = one
-        for i in range(k):
-            prod = prod * entries[i][perm[i]]
-        acc = acc + prod * sign
-    return acc
+    return _laplace_minors(entries, k, one, zero)[(1 << k) - 1]
 
 
 def chern_forms(M):
     """Chern forms c_0..c_rank of a curvature FormMatrix.
 
-    The i/(2 pi) normalization is applied here: c_s is the sum over
-    s-element index subsets of the wedge-determinant of the corresponding
-    submatrix of (i/2pi) M.  Each c_s is a real (s, s)-form, with
+    det(1 + (i/2 pi) M) is the sum of all principal minors of (i/2 pi) M,
+    so c_s is its (s, s) piece and one wedge determinant gives them all.
+    c_0 is ``ExtForm.one``, and each c_s is a real (s, s)-form, with
     per-sample coefficients when M has them.
     """
-    from itertools import combinations
-
-    N = M.scaled(1j / TWO_PI)
     one = ExtForm.one(M.space)
-    zero = ExtForm.zero(M.space)
-    out = [one]
-    for s in range(1, M.rank + 1):
-        acc = zero
-        for subset in combinations(range(M.rank), s):
-            sub = [[N.entries[i][j] for j in subset] for i in subset]
-            acc = acc + wedge_det(sub, one, zero)
-        out.append(acc)
-    return out
+    N = M.scaled(1j / TWO_PI).entries
+    for i in range(M.rank):
+        N[i][i] = one + N[i][i]
+    pieces = [{} for _ in range(M.rank + 1)]
+    for key, coeff in wedge_det(N, one, ExtForm.zero(M.space)).terms.items():
+        pieces[key[0].bit_count()][key] = coeff
+    return [ExtForm(M.space, terms) for terms in pieces]
 
 
 # -- Griffiths positivity ----------------------------------------------------
@@ -555,20 +574,15 @@ def _evaluate_on_frame(gamma, frames):
     """Evaluate a (k,k)-form on batched k-frames.
 
     ``frames`` has shape (N, k, n) with rows the frame vectors; the value
-    for term (S, T) is coeff * det(V[:, S]) * conj(det(V[:, T])).  Each
-    column subset's minors are computed once per call.
+    for term (S, T) is coeff * det(V[:, S]) * conj(det(V[:, T])).  All
+    k-column minors come from one Laplace expansion along the rows, with
+    the samples on the last axis.
     """
-    N = frames.shape[0]
-    vals = np.zeros(N, dtype=complex)
-    minors = {}
-
-    def minor(mask):
-        if mask not in minors:
-            minors[mask] = np.linalg.det(frames[:, :, mask_indices(mask)])
-        return minors[mask]
-
+    V = np.ascontiguousarray(frames.transpose(1, 2, 0))  # (k, n, N)
+    minors = _laplace_minors(V, V.shape[1], 1.0, 0.0)
+    vals = np.zeros(V.shape[2], dtype=complex)
     for (s, t), coeff in gamma.terms.items():
-        vals += coeff * minor(s) * np.conj(minor(t))
+        vals += coeff * minors[s] * np.conj(minors[t])
     return vals
 
 

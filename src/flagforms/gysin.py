@@ -25,8 +25,9 @@ rule on coarser flags.
 """
 
 import warnings
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import mul
 
 from .charpoly import (
     ChernPoly,
@@ -138,64 +139,71 @@ def _vandermonde_within(blocks, r):
 
 
 def _divide_linear(poly, i, j):
-    """Exact division by (xi_i - xi_j); raises if the remainder is nonzero."""
-    r = poly.r
-    work = poly.terms.copy()
+    """Exact division by (xi_i - xi_j); raises if the remainder is nonzero.
+
+    Dividing out a term whose xi_i-exponent is e leaves a carry at
+    exponent e - 1, so one pass over the exponent levels, from the top,
+    meets every term once.
+    """
+    levels = {}
+    for exps, coeff in poly.terms.items():
+        levels.setdefault(exps[i - 1], {})[exps] = coeff
     out = {}
-    while work:
-        exps = max(work, key=lambda e: e[i - 1])
-        coeff = work.pop(exps)
-        if exps[i - 1] == 0:
-            raise ArithmeticError(
-                "symmetrization is not a polynomial (non-exact Vandermonde division)"
-            )
-        q = list(exps)
-        q[i - 1] -= 1
-        q = tuple(q)
-        out[q] = out.get(q, 0) + coeff
-        # subtract (xi_i - xi_j) * coeff * xi^q: the xi_i part cancels exps
-        carry = list(q)
-        carry[j - 1] += 1
-        carry = tuple(carry)
-        new = work.get(carry, 0) + coeff
-        if new == 0:
-            work.pop(carry, None)
-        else:
-            work[carry] = new
-    return RootPoly(r, out)
+    for level in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(level - 1, {})
+        for exps, coeff in levels.pop(level, {}).items():
+            if coeff:
+                # subtract (xi_i - xi_j) * coeff * xi^q: the xi_i part cancels exps
+                q = list(exps)
+                q[i - 1] -= 1
+                out[tuple(q)] = coeff
+                q[j - 1] += 1
+                carry = tuple(q)
+                below[carry] = below.get(carry, 0) + coeff
+    if any(levels.get(0, {}).values()):
+        raise ArithmeticError(
+            "symmetrization is not a polynomial (non-exact Vandermonde division)"
+        )
+    # exact nonzero sums; a Fraction that became integral is still exact
+    return RootPoly._wrap(poly.r, out)
+
+
+@lru_cache(maxsize=1024)
+def _elementary_power(r, j, mult):
+    """e_j(xi_1..xi_r)^mult, shared between calls: its terms are frozen."""
+    return _elementary(r, range(1, r + 1), j, negate=False) ** mult
 
 
 def _symmetric_to_chern(poly):
     """Rewrite a symmetric RootPoly in the elementary symmetric polynomials
-    of the negated roots, i.e. as a ChernPoly via e_j(-xi) -> c_j."""
+    of the negated roots, i.e. as a ChernPoly via e_j(-xi) -> c_j.
+
+    The lex-leading monomial is peeled off one working dict in place, and
+    each power e_j^m is computed once per rank.
+    """
     r = poly.r
     # work in eta = -xi so that c_j = e_j(eta)
-    eta_terms = {}
-    for exps, coeff in poly.terms.items():
-        sign = (-1) ** sum(exps)
-        eta_terms[exps] = coeff * sign
-    work = RootPoly(r, eta_terms)
-    result = ChernPoly.zero(r)
-    elem = [_elementary(r, range(1, r + 1), j, negate=False) for j in range(r + 1)]
-    while not work.is_zero():
+    work = {exps: -coeff if sum(exps) & 1 else coeff for exps, coeff in poly.terms.items()}
+    out = {}
+    while work:
         # leading monomial in lex order has weakly decreasing exponents
-        exps = max(work.terms, key=lambda e: e)
-        coeff = work.terms[exps]
+        exps = max(work)
+        coeff = work[exps]
         if any(exps[i] < exps[i + 1] for i in range(r - 1)):
             raise ArithmeticError(
                 f"polynomial is not symmetric (leading monomial {exps})"
             )
-        chern_exps = [0] * r
-        for i in range(r - 1):
-            chern_exps[i] = exps[i] - exps[i + 1]
-        chern_exps[r - 1] = exps[r - 1]
-        result = result + ChernPoly(r, {tuple(chern_exps): coeff})
-        prod = RootPoly.const(r, coeff)
-        for j, mult in enumerate(chern_exps, start=1):
-            if mult:
-                prod = prod * elem[j] ** mult
-        work = work - prod
-    return result
+        chern_exps = tuple(exps[i] - exps[i + 1] for i in range(r - 1)) + exps[r - 1:]
+        out[chern_exps] = coeff
+        powers = [_elementary_power(r, j, m) for j, m in enumerate(chern_exps, start=1) if m]
+        prod = reduce(mul, powers) if powers else RootPoly.one(r)
+        for e, c in prod.terms.items():
+            new = work.get(e, 0) - coeff * c
+            if new:
+                work[e] = new
+            else:
+                del work[e]
+    return ChernPoly(r, out)
 
 
 def _oracle_raw(F, rho):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagforms import conegeom
 from flagforms.charpoly import SchurVector
 from flagforms.conegeom import (
     builtin_families,
@@ -97,3 +98,34 @@ def test_all_zero_family_rejected():
     fam = RayFamily2D("null", 2, lambda p: (0 * p[0], 0 * p[1]), lambda p: True)
     with pytest.raises(ValueError):
         ray_hull_2d(fam, denom=4)
+
+
+def fraction_grid(nparams, denom):
+    """The rational points on the slice a + b (+ c) = 1 with denominators
+    <= denom, in the order of the integer grid."""
+    if nparams == 2:
+        for i in range(0, denom + 1):
+            b = Fraction(i, denom)
+            yield (1 - b, b)
+    else:
+        for i in range(0, denom + 1):
+            for j in range(0, i + 1):
+                b, c = Fraction(i, denom), Fraction(j, denom)
+                yield (1 - b - c, b, c)
+
+
+def _hull_or_error(family, denom):
+    try:
+        hull = ray_hull_2d(family, denom=denom)
+    except ValueError as exc:
+        return str(exc)
+    return hull.lo, hull.hi, hull.rays, hull.denom
+
+
+def test_integer_grid_hulls_equal_the_fraction_grid_hulls(monkeypatch):
+    fams = builtin_families()
+    cases = [(fam, denom) for fam in fams.values() for denom in range(1, 65)]
+    fast = [_hull_or_error(fam, denom) for fam, denom in cases]
+    monkeypatch.setattr(conegeom, "_simplex_grid", fraction_grid)
+    for (fam, denom), got in zip(cases, fast):
+        assert got == _hull_or_error(fam, denom), (fam.name, denom)

@@ -1,14 +1,19 @@
 import json
+from functools import reduce
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+from flagforms import flagnum
+from flagforms.combinat import bitmask, dimension_sequences, perm_sign
 from flagforms.formlab import (
     CurvatureTensor,
     ExtForm,
     FormMatrix,
     GeneratorSpace,
     TWO_PI,
+    _evaluate_on_frame,
     base_curvature_matrix,
     chern_forms,
     griffiths_check,
@@ -17,6 +22,7 @@ from flagforms.formlab import (
     positivity_values,
     wedge,
 )
+from flagforms.rootcalc import UniversalBundleSpec
 
 
 @pytest.fixture
@@ -247,3 +253,98 @@ def test_positivity_values_of_a_zero_push():
     vals = positivity_values(gamma, samples=400, seed=1)
     assert vals.shape == (400,)
     assert not vals.any()
+
+
+# -- the replaced routes, kept as oracles -------------------------------------
+
+
+def permutation_wedge_det(entries, one, zero):
+    """The determinant as a sum over all k! permutations."""
+    acc = zero
+    for perm in permutations(range(len(entries))):
+        prod = one
+        for i, j in enumerate(perm):
+            prod = prod * entries[i][j]
+        acc = acc + prod * perm_sign(perm)
+    return acc
+
+
+def subset_chern_forms(M):
+    """c_s as the sum of the permutation determinants of the s x s
+    principal submatrices of (i/2 pi) M."""
+    N = M.scaled(1j / TWO_PI)
+    one, zero = ExtForm.one(M.space), ExtForm.zero(M.space)
+    out = [one]
+    for s in range(1, M.rank + 1):
+        acc = zero
+        for subset in combinations(range(M.rank), s):
+            acc = acc + permutation_wedge_det([[N.entries[i][j] for j in subset] for i in subset], one, zero)
+        out.append(acc)
+    return out
+
+
+def assert_chern_forms_match_subsets(M):
+    """chern_forms equals the per-subset route to 1e-12 relative per c_s,
+    sample by sample for per-sample coefficients."""
+    got, want = chern_forms(M), subset_chern_forms(M)
+    assert len(got) == len(want) == M.rank + 1
+    assert got[0] == ExtForm.one(M.space)
+    for c_got, c_want in zip(got[1:], want[1:]):
+        assert set(c_got.terms) == set(c_want.terms)
+        keys = list(c_want.terms)
+        scale = reduce(np.maximum, (np.abs(c_want.terms[k]) for k in keys), 0.0)
+        gap = reduce(np.maximum, (np.abs(c_got.terms[k] - c_want.terms[k]) for k in keys), 0.0)
+        assert np.all(gap <= 1e-12 * scale)
+
+
+def _random_hermitian_tensor(n, r, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, n, r, r)) + 1j * rng.standard_normal((n, n, r, r))
+    return CurvatureTensor(0.5 * (raw + np.conj(raw.transpose(1, 0, 3, 2))))
+
+
+def test_chern_forms_match_the_subset_route_on_base_tensors():
+    # four rank-one squares, so that no c_s with s <= min(n, r) vanishes and
+    # the relative bound is not read on cancellation noise
+    for n in range(1, 5):
+        for r in range(1, 5):
+            assert_chern_forms_match_subsets(base_curvature_matrix(_random_hermitian_tensor(n, r, 10 * n + r)))
+            assert_chern_forms_match_subsets(base_curvature_matrix(griffiths_sample(n, r, terms=4, seed=n + r)))
+
+
+def test_chern_forms_match_the_subset_route_per_sample_every_bundle():
+    specs = [
+        UniversalBundleSpec(rho, ell, l)
+        for r in (2, 3, 4)
+        for rho in dimension_sequences(r, min_steps=2)
+        for ell in range(rho.m)
+        for l in range(ell + 1, rho.m + 1)
+    ]
+    assert len(specs) == 52
+    for i, spec in enumerate(specs):
+        C = _random_hermitian_tensor(1, spec.rho.r, 400 + i)
+        chart = flagnum.chart_for(spec, 1)
+        rng = np.random.default_rng(400 + i)
+        zeta = 0.7 * (rng.standard_normal((3, chart.d)) + 1j * rng.standard_normal((3, chart.d)))
+        coeffs, _, _ = flagnum._exact_coeffs(spec, C, zeta)
+        assert_chern_forms_match_subsets(FormMatrix.from_coeffs(chart.space, spec.rank, coeffs))
+
+
+def test_frame_minors_match_numpy_determinants():
+    # each term (S, T) evaluates to det(V[:, S]) * conj(det(V[:, T])); the
+    # Laplace minors are checked against LU determinants to 1e-12 of the
+    # Hadamard bounds, so a nearly singular frame does not loosen the test
+    rng = np.random.default_rng(8)
+    for k in range(1, 5):
+        for n in range(k, 6):
+            space = GeneratorSpace.base(n)
+            frames = rng.standard_normal((50, k, n)) + 1j * rng.standard_normal((50, k, n))
+            subsets = list(combinations(range(n), k))
+            det = {S: np.linalg.det(frames[:, :, list(S)]) for S in subsets}
+            bound = {S: np.prod(np.linalg.norm(frames[:, :, list(S)], axis=2), axis=1) for S in subsets}
+            for S in subsets:
+                for T in subsets:
+                    gamma = ExtForm(space, {(bitmask(S), bitmask(T)): 1.0})
+                    got = _evaluate_on_frame(gamma, frames)
+                    want = det[S] * np.conj(det[T])
+                    assert np.all(np.abs(got - want) <= 1e-12 * bound[S] * bound[T]), (k, n, S, T)

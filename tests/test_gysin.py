@@ -1,9 +1,12 @@
 import warnings
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from flagforms import gysin
 from flagforms.charpoly import ChernPoly, schur, segre_polys
-from flagforms.combinat import complete_sequence
+from flagforms.combinat import complete_sequence, dimension_sequences, relative_dimension
 from flagforms.gysin import (
     epsilon_for_rank,
     grassmann_c1c2_pushforward,
@@ -13,7 +16,7 @@ from flagforms.gysin import (
     pushforward_oracle_symmetric,
     schur_via_flag,
 )
-from flagforms.rootcalc import RootPoly, block_symmetrize, expand_expression
+from flagforms.rootcalc import RootPoly, _elementary, block_symmetrize, expand_expression
 
 
 def c(r, j):
@@ -222,3 +225,90 @@ def test_dp_warns_only_on_non_block_symmetric_input():
     for F in (mono(3, (3, 0, 1)), skewed):
         with pytest.warns(UserWarning, match="not block-symmetric"):
             pushforward_dp(F, rho)
+
+
+# -- the replaced Weyl-oracle routines, kept as oracles ------------------------
+
+
+def max_scan_divide_linear(poly, i, j):
+    """Division by (xi_i - xi_j) that rescans for the largest xi_i-exponent
+    at every step."""
+    work = dict(poly.terms)
+    out = {}
+    while work:
+        exps = max(work, key=lambda e: e[i - 1])
+        coeff = work.pop(exps)
+        if exps[i - 1] == 0:
+            raise ArithmeticError("non-exact Vandermonde division")
+        q = list(exps)
+        q[i - 1] -= 1
+        out[tuple(q)] = out.get(tuple(q), 0) + coeff
+        q[j - 1] += 1
+        new = work.get(tuple(q), 0) + coeff
+        if new == 0:
+            work.pop(tuple(q), None)
+        else:
+            work[tuple(q)] = new
+    return RootPoly(poly.r, out)
+
+
+def peeling_symmetric_to_chern(poly):
+    """The rewrite in e_j(-xi) that subtracts each leading product from a
+    fresh copy of the remainder."""
+    r = poly.r
+    work = RootPoly(r, {e: c * (-1) ** sum(e) for e, c in poly.terms.items()})
+    result = ChernPoly.zero(r)
+    elem = [_elementary(r, range(1, r + 1), j, negate=False) for j in range(r + 1)]
+    while not work.is_zero():
+        exps = max(work.terms)
+        coeff = work.terms[exps]
+        if any(exps[i] < exps[i + 1] for i in range(r - 1)):
+            raise ArithmeticError("not symmetric")
+        chern_exps = [exps[i] - exps[i + 1] for i in range(r - 1)] + [exps[r - 1]]
+        result = result + ChernPoly(r, {tuple(chern_exps): coeff})
+        prod = RootPoly.const(r, coeff)
+        for j, mult in enumerate(chern_exps, start=1):
+            prod = prod * elem[j] ** mult
+        work = work - prod
+    return result
+
+
+def test_weyl_division_and_rewrite_equal_the_replaced_routes(monkeypatch):
+    divide, rewrite = gysin._divide_linear, gysin._symmetric_to_chern
+    seen = {"divide": 0, "rewrite": 0}
+
+    def checked_divide(poly, i, j):
+        seen["divide"] += 1
+        out = divide(poly, i, j)
+        assert out == max_scan_divide_linear(poly, i, j)
+        return out
+
+    def checked_rewrite(poly):
+        seen["rewrite"] += 1
+        out = rewrite(poly)
+        assert out == peeling_symmetric_to_chern(poly)
+        return out
+
+    monkeypatch.setattr(gysin, "_divide_linear", checked_divide)
+    monkeypatch.setattr(gysin, "_symmetric_to_chern", checked_rewrite)
+    for r in (2, 3, 4):
+        for rho in dimension_sequences(r, min_steps=2):
+            deg = relative_dimension(rho) + 2
+            for combo in combinations_with_replacement(range(r), deg):
+                exps = [combo.count(i) for i in range(r)]
+                F = mono(r, exps) * Fraction(3, 2) - mono(r, [deg - 1] + [0] * (r - 2) + [1])
+                pushforward_oracle_symmetric(block_symmetrize(F, rho), rho)
+    assert seen["divide"] > 1000 and seen["rewrite"] > 200
+
+
+def test_weyl_routines_reject_what_the_replaced_routes_reject():
+    x1 = mono(3, (1, 0, 0))
+    with pytest.raises(ArithmeticError):
+        gysin._divide_linear(x1 + mono(3, (0, 0, 1)), 1, 2)
+    with pytest.raises(ArithmeticError):
+        max_scan_divide_linear(x1 + mono(3, (0, 0, 1)), 1, 2)
+    with pytest.raises(ArithmeticError):
+        gysin._symmetric_to_chern(x1)
+    with pytest.raises(ArithmeticError):
+        peeling_symmetric_to_chern(x1)
+    assert gysin._divide_linear(x1 - mono(3, (0, 1, 0)), 1, 2) == RootPoly.one(3)

@@ -83,6 +83,43 @@ def test_wedge_is_graded_commutative(batched, da, db, data):
     assert_same(a * b, (b * a) * (-1) ** (da * db))
 
 
+def reference_wedge(a, b):
+    """The wedge with the bit counts and merge signs recomputed for every
+    pair of terms, nothing memoized."""
+
+    def merge_sign(x, y):
+        sign = 1
+        while y:
+            low = (y & -y).bit_length() - 1
+            if (x >> (low + 1)).bit_count() & 1:
+                sign = -sign
+            y &= y - 1
+        return sign
+
+    terms = {}
+    for (s1, t1), c1 in a.terms.items():
+        for (s2, t2), c2 in b.terms.items():
+            if s1 & s2 or t1 & t2:
+                continue
+            sign = merge_sign(s1, s2) * merge_sign(t1, t2) * (-1) ** (t1.bit_count() * s2.bit_count())
+            key = (s1 | s2, t1 | t2)
+            piece = c1 * c2
+            if key in terms:
+                terms[key] = terms[key] + piece if sign > 0 else terms[key] - piece
+            else:
+                terms[key] = piece if sign > 0 else -piece
+    return ExtForm(a.space, terms)
+
+
+@DERANDOMIZED
+@given(st.booleans(), st.data())
+def test_memoized_wedge_equals_the_unmemoized_reference(batched, data):
+    a, b = data.draw(forms(batched)), data.draw(forms(batched))
+    got, want = a * b, reference_wedge(a, b)
+    assert list(got.terms) == list(want.terms)
+    assert_same(got, want)
+
+
 @DERANDOMIZED
 @given(st.data())
 def test_batched_wedge_is_the_wedge_of_each_sample(data):
