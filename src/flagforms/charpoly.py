@@ -347,36 +347,34 @@ def det_poly(rows, one, zero):
     Expansion along the first remaining row with memoized minors keyed on
     column subsets; fine for the sizes used here (k <= 8 or so).
     """
-    k = len(rows)
-    if k == 0:
+    if not rows:
         return one
-    full = (1 << k) - 1
-    memo = {}
+    return _minor(rows, {}, one, zero, 0, (1 << len(rows)) - 1)
 
-    def minor(row, cols):
-        if cols == 0:
-            return one
-        key = cols
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = zero
-        sign = 1
-        for j in range(k):
-            bit = 1 << j
-            if not cols & bit:
-                continue
-            entry = rows[row][j]
-            if entry is not None and not entry.is_zero():
-                sub = minor(row + 1, cols & ~bit)
-                if not sub.is_zero():
-                    term = entry * sub
-                    total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[key] = total
-        return total
 
-    return minor(0, full)
+# the minor on rows row.. and columns cols; not a closure of det_poly: a recursive
+# closure is a reference cycle, which keeps the memo until a cyclic collection
+def _minor(rows, memo, one, zero, row, cols):
+    if cols == 0:
+        return one
+    cached = memo.get(cols)
+    if cached is not None:
+        return cached
+    total = zero
+    sign = 1
+    for j in range(len(rows)):
+        bit = 1 << j
+        if not cols & bit:
+            continue
+        entry = rows[row][j]
+        if entry is not None and not entry.is_zero():
+            sub = _minor(rows, memo, one, zero, row + 1, cols & ~bit)
+            if not sub.is_zero():
+                term = entry * sub
+                total = total + term if sign > 0 else total - term
+        sign = -sign
+    memo[cols] = total
+    return total
 
 
 _SEGRE_CACHE = {}

@@ -19,7 +19,7 @@ from .flagnum import ChartPoint, FlagChart, curvature_at, curvature_center
 from .formlab import CurvatureTensor
 from .gysin import convention_report, pushforward_dp
 from .rootcalc import UniversalBundleSpec, expand_expression
-from .verify import SUITES, run_suite
+from .verify import MAX_SEED, SUITES, run_suite
 
 
 def _parse_rho(text):
@@ -249,6 +249,8 @@ def cmd_verify(args):
     if args.seed is not None:
         if args.seed < 0:
             raise SystemExit(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.seed > MAX_SEED.get(args.suite, args.seed):
+            raise SystemExit(f"--seed of suite {args.suite!r} must be at most {MAX_SEED[args.suite]}, got {args.seed}")
         kwargs["seed"] = args.seed
     if args.samples is not None:
         _require_positive("--samples", args.samples)

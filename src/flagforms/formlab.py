@@ -377,10 +377,13 @@ class FormMatrix:
         terms = [[{} for _ in range(rank)] for _ in range(rank)]
         for (a, b), M in coeffs.items():
             key = (1 << a, 1 << b)
+            numbers = np.ndim(M) == 2
+            rows = M.tolist() if numbers else M
             for alpha in range(rank):
                 for beta in range(rank):
-                    if np.ndim(M[alpha, beta]) == 0 or M[alpha, beta].any():
-                        terms[beta][alpha][key] = M[alpha, beta]
+                    v = rows[alpha][beta]
+                    if (v != 0) if numbers else v.any():
+                        terms[beta][alpha][key] = v
         return cls(space, [[ExtForm(space, t) for t in row] for row in terms])
 
     @property

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from flagforms import charpoly
 from flagforms.charpoly import (
     ChernPoly,
     SchurVector,
@@ -225,3 +227,16 @@ def test_gen_schur_of_embedded_conjugate_matches_conjugate():
             for sigma in partitions_of(k, max_part=r):
                 conj = sigma.conjugate().parts
                 assert gen_schur(sigma_tilde(sigma, r), r) == gen_schur(conj, r)
+
+
+def test_determinant_leaves_no_reference_cycle(monkeypatch):
+    # each call's memo of minors is freed when the call returns, not at the
+    # next cyclic garbage collection
+    monkeypatch.setattr(charpoly, "_SCHUR_CACHE", {})
+    gc.collect()
+    gc.disable()
+    try:
+        schur((4, 3, 2, 1), 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

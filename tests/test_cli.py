@@ -250,6 +250,16 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert "fiber volume calibration" in out and err == ""
 
 
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**64])
+def test_verify_rejects_a_seed_the_streams_cannot_key(capsys, seed):
+    # gysin-numeric keys 64-bit random streams with seed and seed + 1
+    argv = ("verify", "--suite", "gysin-numeric", "--samples", "10", "--seed", str(seed))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --seed of suite 'gysin-numeric' must be at most {2**64 - 2}, got {seed}\n"
+
+
 def test_conventions_do_not_depend_on_earlier_work(monkeypatch, capsys):
     from flagforms import gysin
 

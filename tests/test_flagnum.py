@@ -412,20 +412,20 @@ def test_pushforward_rejects_inhomogeneous():
         )
 
 
-def test_sampler_config_from_dict_and_proposal_guard():
+def test_sampler_config_from_dict_ignores_proposal():
     chart = FlagChart((0, 1, 2, 3), 1)
     C0 = CurvatureTensor.zero(1, 3)
-    with pytest.raises(ValueError):
-        pushforward_numeric(
-            chart,
-            "c1(U1)^3",
-            C0,
-            {"num_samples": 10, "seed": 0, "proposal": "projective"},
-        )
     est = pushforward_numeric(
         chart, "c1(U1)^3", C0, {"num_samples": 256, "seed": 0}
     )
     assert est.n_requested == 256
+    # every run draws rotations: the proposal is accepted and has no effect
+    for proposal in ("projective", "product", "auto"):
+        again = pushforward_numeric(
+            chart, "c1(U1)^3", C0, {"num_samples": 256, "seed": 0, "proposal": proposal}
+        )
+        assert again.form.terms == est.form.terms and again.stderr == est.stderr
+    assert "proposal" not in SamplerConfig(10, 0, proposal="product").to_json()
 
 
 def test_verify_main_theorem_smoke():
@@ -701,16 +701,17 @@ def test_hermitian_defect_carries_a_nan(monkeypatch):
     coeffs[(2, 3)][0, 1, 5] = np.nan
     assert math.isnan(flagnum._symmetrize_coeffs(coeffs, H0, H0inv, chart.n)[1])
 
-    # past the audited samples: the sample is dropped and the estimate
+    # in the Monte Carlo integrand: the sample is dropped and the estimate
     # reports the NaN
-    exact = flagnum._exact_coeffs
+    center = flagnum._center_coeffs
 
-    def one_nan(spec, C, zeta):
-        coeffs, H0, H0inv = exact(spec, C, zeta)
-        coeffs[(C.n, C.n + 1)][0, 0, flagnum.AUDIT_SAMPLES] = np.nan
-        return coeffs, H0, H0inv
+    def one_nan(spec, C, g=None):
+        coeffs = center(spec, C, g)
+        if g is not None:
+            coeffs[(0, 1)][0, 0, 5] = np.nan
+        return coeffs
 
-    monkeypatch.setattr(flagnum, "_exact_coeffs", one_nan)
+    monkeypatch.setattr(flagnum, "_center_coeffs", one_nan)
     est = pushforward_numeric(chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=500, seed=3))
     assert math.isnan(est.hermitian_defect)
     assert est.n_nonfinite == 1 and est.n_samples == 499
@@ -729,17 +730,17 @@ def test_pushforward_numeric_reports_audit_and_hermitian_defects():
 
 
 def test_audit_rejects_a_wrong_vertical_block(monkeypatch):
-    exact = flagnum._exact_coeffs
+    center = flagnum._center_coeffs
 
-    def off_by_one_percent(spec, C, zeta):
-        coeffs, H0, H0inv = exact(spec, C, zeta)
+    def off_by_one_percent(spec, C, g=None):
+        coeffs = center(spec, C, g)
         n = C.n
         for (a, b), v in coeffs.items():
             if a >= n and b >= n:
                 coeffs[(a, b)] = 1.01 * v
-        return coeffs, H0, H0inv
+        return coeffs
 
-    monkeypatch.setattr(flagnum, "_exact_coeffs", off_by_one_percent)
+    monkeypatch.setattr(flagnum, "_center_coeffs", off_by_one_percent)
     chart = FlagChart((0, 1, 3), 2)
     C = griffiths_sample(2, 3, terms=2, seed=7)
     with pytest.raises(ArithmeticError, match="vertical"):
@@ -760,14 +761,14 @@ def test_audit_rejects_a_nan_in_the_vertical_block(monkeypatch):
     mixed, vertical = flagnum._audit_coeffs(spec, C, zeta, coeffs, flagnum.FD_STEP)
     assert mixed <= 1e-8 and math.isnan(vertical)
 
-    exact = flagnum._exact_coeffs
+    center = flagnum._center_coeffs
 
-    def one_nan(spec, C, zeta):
-        coeffs, H0, H0inv = exact(spec, C, zeta)
-        coeffs[(C.n, C.n)][0, 0, 0] = np.nan
-        return coeffs, H0, H0inv
+    def one_nan(spec, C, g=None):
+        coeffs = center(spec, C, g)
+        coeffs[(C.n, C.n)][0, 0] = np.nan
+        return coeffs
 
-    monkeypatch.setattr(flagnum, "_exact_coeffs", one_nan)
+    monkeypatch.setattr(flagnum, "_center_coeffs", one_nan)
     with pytest.raises(ArithmeticError, match="vertical.*nan"):
         pushforward_numeric(
             chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=500, seed=3)
@@ -832,3 +833,136 @@ def test_chart_points_must_have_the_fiber_dimension():
     for zeta in ([1.0], [1.0, 2.0, 3.0], np.zeros((4, 3))):
         with pytest.raises(ValueError, match="has 2 coordinates"):
             frames_eps(chart, zeta)
+
+
+# -- the Haar route ------------------------------------------------------------
+
+#: per flag type of rank 2 to 4, a class of fiber degree with a nonzero push
+#: whose top coefficient is built from the constant vertical block alone, so
+#: it does not depend on the rotation
+VERTICAL_CLASSES = {
+    (0, 1, 2): "c1(U1)",
+    (0, 1, 3): "c1(U1)^2",
+    (0, 2, 3): "c1(U1)^2",
+    (0, 1, 2, 3): "c1(U1)^2*c1(U2/U1)",
+    (0, 1, 4): "c1(U1)^3",
+    (0, 2, 4): "c1(U1)^4",
+    (0, 3, 4): "c1(U1)^3",
+    (0, 1, 2, 4): "c1(U1)^3*c1(U2/U1)^2",
+    (0, 1, 3, 4): "c1(U1)^3*c1(U2/U1)^2",
+    (0, 2, 3, 4): "c1(U1)^4*c1(U2/U1)",
+    (0, 1, 2, 3, 4): "c1(U1)^3*c1(U2/U1)^2*c1(U3/U2)",
+}
+
+
+def _flag_types():
+    return [rho for r in (2, 3, 4) for rho in dimension_sequences(r, min_steps=2)]
+
+
+def test_main_theorem_on_every_flag_type_and_seed():
+    # the vertical class times c1(U1)^n depends on the rotation: within 4
+    # standard errors; the vertical class does not: zero standard error,
+    # exact to rounding, over several chunks
+    types = _flag_types()
+    assert sorted(rho.rho for rho in types) == sorted(VERTICAL_CLASSES)
+    n = 2
+    for rho in types:
+        chart = FlagChart(rho, n)
+        for seed in range(10):
+            C = griffiths_sample(n, rho.r, terms=3, seed=seed)
+            expr = f"{VERTICAL_CLASSES[rho.rho]}*c1(U1)^{n}"
+            dep = verify_main_theorem(chart, expr, C, SamplerConfig(4000, seed))
+            assert dep.stderr_total > 0 and dep.consistent_within <= 4.0, (rho, seed)
+            cfg = SamplerConfig(256, seed, chunk=100)
+            const = verify_main_theorem(chart, VERTICAL_CLASSES[rho.rho], C, cfg)
+            assert const.stderr_total == 0 and const.truth.norm() >= 1, (rho, seed)
+            assert const.residual_abs <= 1e-12 * const.truth.norm(), (rho, seed)
+
+
+@pytest.mark.parametrize(
+    "rho, expr, n, tensor_seed",
+    [
+        ((0, 1, 3, 4), "c1(U2/U1)^3*c1(U3/U2)^2*c1(E)", 1, 7),
+        ((0, 1, 2, 3), "c1(U3/U2)^2*c1(U1)*c1(E)", 1, 7),
+        ((0, 3), "c2(E)", 2, 19),
+        ((0, 2), "c1(E)", 2, 19),
+    ],
+)
+def test_rotation_invariant_integrands_are_exact(rho, expr, n, tensor_seed):
+    # the base factor is an invariant of the whole tensor, so the integrand
+    # varies by rounding alone: exact to rounding, and 0 standard errors off
+    C = griffiths_sample(n, rho[-1], terms=3, seed=tensor_seed)
+    for seed in range(4):
+        rep = verify_main_theorem(FlagChart(rho, n), expr, C, SamplerConfig(2000, seed))
+        assert rep.residual_rel <= 1e-12 and rep.consistent_within == 0.0
+        assert rep.stderr_total <= 1e-14 * rep.truth.norm()
+
+
+def _superfactorial(k):
+    return math.prod(math.factorial(j) for j in range(k + 1))
+
+
+def test_fiber_volume_closed_form_and_unitary_draws():
+    volumes = {
+        (0, 1, 3): math.pi**2 / 2,
+        (0, 2, 4): math.pi**4 / 12,
+        (0, 1, 2, 3): math.pi**3 / 2,
+        (0, 1, 3, 4): math.pi**5 / 12,
+    }
+    for rho in _flag_types():
+        d = FlagChart(rho, 1).d
+        blocks = np.diff(rho.rho)
+        want = math.pi**d * math.prod(_superfactorial(b - 1) for b in blocks) / _superfactorial(rho.r - 1)
+        assert flagnum._fiber_volume(rho) == pytest.approx(want, rel=1e-15)
+        assert flagnum._fiber_volume(rho) == pytest.approx(volumes.get(rho.rho, want), rel=1e-15)
+    for r in (1, 2, 3, 4):
+        g = flagnum._haar_unitaries(np.random.default_rng(r), r, 20000)
+        gram = np.einsum("lan,lbn->abn", np.conj(g), g)
+        assert np.abs(gram - np.eye(r)[:, :, None]).max() <= 1e-12
+
+
+def test_rotated_center_formula_is_the_center_formula_of_the_rotated_tensor():
+    # the samples-last rotation in the integrand against the rotated tensor
+    # built one draw at a time
+    for i, spec in enumerate(_every_bundle()):
+        r = spec.rho.r
+        C = random_tensor(2, r, 700 + i)
+        g = flagnum._haar_unitaries(np.random.default_rng(700 + i), r, 3)
+        batch = flagnum._center_coeffs(spec, C, g)
+        for s in range(3):
+            gs = g[:, :, s]
+            Cg = CurvatureTensor(np.einsum("la,jklm,mb->jkab", gs, C.coeffs, np.conj(gs)))
+            single = flagnum._center_coeffs(spec, Cg)
+            assert list(single) == list(batch)
+            for key, v in single.items():
+                got = batch[key] if min(key) >= 2 else batch[key][..., s]
+                assert np.abs(got - v).max() <= 1e-13 * np.abs(C.coeffs).max(), (spec, key)
+
+
+def test_chunked_moments_equal_one_chunk(monkeypatch):
+    # the same draws split into chunks: the merged mean and standard error
+    # equal those of one chunk
+    chart = FlagChart((0, 1, 3), 2)
+    C = griffiths_sample(2, 3, terms=3, seed=4)
+    draws = flagnum._haar_unitaries(np.random.default_rng(4), 3, 3000)
+    used = []
+
+    def fixed(rng, r, count):
+        start = sum(used)
+        used.append(count)
+        return draws[:, :, start : start + count]
+
+    monkeypatch.setattr(flagnum, "_haar_unitaries", fixed)
+    one = pushforward_numeric(chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(3000, 0))
+    used.clear()
+    split = pushforward_numeric(chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(3000, 0, chunk=700))
+    assert used == [700, 700, 700, 700, 200]
+    for key, v in one.form.terms.items():
+        assert abs(split.form.terms[key] - v) <= 1e-12 * abs(v)
+        assert split.stderr[key] == pytest.approx(one.stderr[key], rel=1e-9)
+
+
+def test_pushforward_numeric_of_a_constant_on_a_point_fiber():
+    # no bundle to audit and nothing that depends on the rotation
+    est = pushforward_numeric(FlagChart((0, 2), 1), "3", CurvatureTensor.zero(1, 2), SamplerConfig(10, 0))
+    assert est.form.terms == {(0, 0): 3.0} and est.stderr == {(0, 0): 0.0}
