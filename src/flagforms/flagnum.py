@@ -4,10 +4,12 @@ curvature, and Monte Carlo fiber integration.
 All pointwise work happens over the chart center of the base (z = 0); the
 ambient metric is the synthetic truncation delta - sum c[j,k,a,b] z_j
 conj(z_k), exactly quadratic in z, so z-derivatives of metrics are
-analytic.  At the chart center the curvature is the paper's center formula
-(``_center_coeffs``, behind ``curvature_center`` and the Monte Carlo
-integrand); elsewhere fiber-direction derivatives are exact, from the
-frames being affine in zeta (``_exact_coeffs``, behind ``curvature_at``).
+analytic.  The curvature is the paper's center formula
+(``_center_coeffs``) everywhere: at the chart center it is read directly
+(``curvature_center``); at a fiber point the unitary rotation that makes
+the point a chart center carries it there (``_exact_coeffs``, behind
+``curvature_at``); over Haar-random rotations it is the Monte Carlo
+integrand, and with a given unitary frame ``theta_intrinsic``.
 Fourth-order central finite differences on the metric are the oracle
 only: the audit of every Monte Carlo run, the curvature suite and the
 tests.
@@ -36,6 +38,7 @@ the chunks would be distributed over workers.
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -329,8 +332,28 @@ def _sweep(A, pivots):
 
 
 def _inverse(H):
-    """Inverses of samples-last positive definite matrices."""
+    """Inverses of samples-last positive definite or triangular matrices."""
     return -_sweep(H.copy(), range(len(H)))
+
+
+def _qr(X):
+    """QR factorizations X = Q R of samples-last square matrices (r, r, N),
+    R upper triangular with a positive diagonal, by Gram-Schmidt with every
+    projection done twice, which keeps ill-conditioned columns orthonormal
+    to rounding.  Inner products add row by row, the order of numpy's sum
+    over the first axis for N >= 2 but not N = 1: a point rounds as in a batch.
+    The complex array X is overwritten with Q."""
+    R = np.zeros_like(X)
+    for a in range(len(X)):
+        v = X[:, a]  # (r, N), becomes column a of Q
+        for _ in range(2):
+            for b in range(a):
+                c = reduce(np.add, np.conj(X[:, b]) * v)
+                v -= c * X[:, b]
+                R[b, a] += c
+        R[a, a] = norm = np.sqrt(reduce(np.add, v.real**2 + v.imag**2))
+        v /= norm
+    return X, R
 
 
 class _Stencils:
@@ -340,25 +363,25 @@ class _Stencils:
     audits the exact curvature.
 
     Steps are relative: the step of every fiber coordinate is
-    fd_step * sqrt(1 + |zeta|^2) per sample, the scale on which the induced
+    FD_STEP * sqrt(1 + |zeta|^2) per sample, the scale on which the induced
     metrics vary around that point, so the audit of points far out in the
     chart does not drown in rounding noise.  The step is shared by all
     fiber coordinates, so far out in the chart, where one coordinate is
     much larger than another, the stencils lose accuracy.
-    The base coordinates keep the plain step fd_step.
+    The base coordinates keep the plain step FD_STEP.
 
     The points are kept samples last, one row per chart generator; each
     stencil batch shifts them and evaluates the metric at every shifted
     point of every sample in one call of ``_induced_metric``.
     """
 
-    def __init__(self, spec, C, Z, fd_step):
+    def __init__(self, spec, C, Z):
         self.spec, self.C = spec, C
         self.chart = chart_for(spec, C.n)
         n, count = self.chart.n, Z.shape[1]
         self.x = np.concatenate([np.zeros((n, count), dtype=complex), Z])
         scale = np.sqrt(1.0 + np.sum(np.abs(Z) ** 2, axis=0))
-        self.h = np.concatenate([np.full((n, count), fd_step), np.tile(fd_step * scale, (len(Z), 1))])
+        self.h = np.concatenate([np.full((n, count), FD_STEP), np.tile(FD_STEP * scale, (len(Z), 1))])
 
     def _sums(self, moves, weights, denom):
         """Weighted stencil sums of the metric, one per consecutive block of
@@ -407,13 +430,12 @@ class _Stencils:
 
 
 def _bundle_projector(spec, V):
-    """(K, D^-1, H0) at samples-last frames V (r, r, N): the (rk, r, N)
-    matrix K with H0 = K G K^H the induced metric of the bundle, and the
-    inverse of the sub block D of G = V^T conj(V) in an (r, r, N) zero array.
+    """The (rk, r, N) matrix K at samples-last frames V (r, r, N) with
+    H0 = K G K^H the induced metric of the bundle, G = V^T conj(V).
 
-    K is the identity on the quotient block and -B D^-1 on the sub block,
-    so K G K^H = A - B D^-1 B^H, the Schur complement; all three come from
-    one sweep of the bundle's Gram block.  A sub-bundle has no sub block.
+    K is the identity on the quotient block and -B D^-1 on the sub block
+    D of G, so K G K^H = A - B D^-1 B^H, the Schur complement, from one
+    sweep of the bundle's Gram block.  A sub-bundle has no sub block.
     """
     q_idx, _ = _bundle_slices(spec)
     r, lo, rk = len(V), q_idx[0], len(q_idx)
@@ -423,9 +445,7 @@ def _bundle_projector(spec, V):
     K = np.zeros((rk,) + V.shape[1:], dtype=complex)
     K[:, lo:hi] = np.eye(rk)[:, :, None]
     K[:, hi:] = -G[:rk, rk:]
-    Dinv = np.zeros_like(V)
-    Dinv[hi:, hi:] = -G[rk:, rk:]
-    return K, Dinv, G[:rk, :rk]
+    return K
 
 
 def _base_coeffs(W, C, H0inv):
@@ -443,59 +463,63 @@ def _unfold(X, shape):
 
 
 def _exact_coeffs(spec, C, zeta):
-    """Curvature coefficients at z = 0 over a batch of fiber points, with
-    the vertical block from the exact derivatives of the induced metric.
+    """Curvature coefficients at z = 0 over a batch of fiber points: the
+    center formula carried to each point by the rotation that makes it a
+    chart center.  Same keys, meaning and layout as ``_curvature_coeffs``
+    less its mixed blocks, which vanish: (rk, rk) + shape for points shaped
+    shape + (d,); returned with the metric H0 and its inverse.
 
-    Same keys, meaning and layout as ``_curvature_coeffs``, less its mixed
-    blocks: for points shaped shape + (d,) each coefficient is (rk, rk) +
-    shape, samples last.  The frames are affine in zeta, V = I + sum_p
-    zeta_p E_p with E_p the single 1 at (lam_p - 1, mu_p - 1), so the Gram
-    matrix G = V^T conj(V) has dG/dzeta_p = E_p^T conj(V) (row mu_p - 1
-    only), the conjugate derivative its adjoint, and the constant mixed
-    derivative E_p^T E_q.  With H = K G K^H (see ``_bundle_projector``),
-    c_p = K e_(mu_p) and g_p = conj(K) conj(V)[lam_p] this gives
+    The frames V = I + zeta are upper unipotent, the flag on their trailing
+    columns.  Their QR factorization V = g L, g unitary and L lower
+    triangular (a QR of V reversed in rows and columns), makes the flag at
+    zeta the center of the chart rotated by g, where the curvature is the
+    center formula with the tensor g^T C conj(g).  Two holomorphic factors
+    carry it back:
 
-        dH/dzeta_p                = c_p g_p^T
-        d^2 H/dzeta_p dzetabar_q  = a_pq c_p c_q^H - b_pq conj(g_q) g_p^T
+    - the frame: the bundle's frame at zeta is the rotated chart's times
+      T = L[block, block], so each coefficient M becomes T^T M T^-T, and
+      H0 = T^T conj(T);
+    - the chart: V(zeta + dzeta) = g V(dzeta') B with B block lower
+      triangular, so dzeta' is the admissible part of g^H dV L^-1:
+      dzeta'_q = sum_p J[q, p] dzeta_p, J[q, p] = conj(g[lam_p, lam_q])
+      L^-1[mu_p, mu_q], and the vertical coefficient (a, b) is
+      sum J[a', a] conj(J[b', b]) M[(a', b')].
 
-    with a_pq = [lam_p = lam_q] - conj(V)[lam_p]^T D^-1 V[lam_q] and
-    b_pq = D^-1[mu_q, mu_p]; the terms with D^-1 come from the product
-    rule on the Schur complement, d(D^-1) = -D^-1 dD D^-1.  The curvature
-    coefficient -d dbar H H^-1 + dH H^-1 dbar H H^-1 is then a sum of two
-    outer products per pair (p, q), built for all pairs at once as one
-    (rk, rk, d, d, N) array.
+    Both charts share the base coordinates, so the base block changes with
+    the frame alone and the mixed blocks stay zero.  Every factor is a
+    product; the loss is that of the QR, about eps * cond(V).
     """
     chart = chart_for(spec, C.n)
     n, d = chart.n, chart.d
     zeta = _zeta(chart, zeta)
     shape = zeta.shape[:-1]
-    V = _frames(chart, _samples_last(zeta, shape))
-    K, Dinv, H0 = _bundle_projector(spec, V)
-    H0inv = _inverse(H0)
-    lo = _bundle_slices(spec)[0][0]
-    W = _dot(K[:, lo:], np.swapaxes(V, 0, 1)[lo:])  # K V^T
+    Q, R = _qr(_frames(chart, _samples_last(zeta, shape))[::-1, ::-1])
+    g, L = Q[::-1, ::-1], R[::-1, ::-1]
+    Linv = _inverse(L)
+    q_idx, _ = _bundle_slices(spec)
+    block = slice(q_idx[0], q_idx[-1] + 1)
+    T, Tinv = L[block, block], Linv[block, block]
+    center = _center_coeffs(spec, C, g)
 
-    blocks = []
-    if d:
-        lam = [pair[0] - 1 for pair in chart.pairs]
-        mu = [pair[1] - 1 for pair in chart.pairs]
-        c = K[:, mu]  # (rk, d, N): column p is c_p
-        g = np.conj(W[:, lam])  # (rk, d, N): column p is g_p
-        g_inv = _dot(np.swapaxes(H0inv, 0, 1), g)  # column p is (g_p^T H0^-1)^T
-        gamma = _dot(np.swapaxes(g_inv, 0, 1), np.conj(g))  # (d, d, N)
-        alpha = np.equal.outer(lam, lam)[:, :, None] - _dot(_dot(np.conj(V[lam]), Dinv), np.swapaxes(V[lam], 0, 1))
-        beta = np.swapaxes(Dinv[np.ix_(mu, mu)], 0, 1)
-        e = _dot(np.swapaxes(H0inv, 0, 1), np.conj(c))  # column q is (c_q^H H0^-1)^T
-        M = (gamma - alpha) * c[:, None, :, None] * e[None, :, None, :]
-        M += beta * np.conj(g)[:, None, None, :] * g_inv[None, :, :, None]
-        blocks.append((n, M))
-    blocks.append((0, _base_coeffs(W, C, H0inv)))
+    lam = [pair[0] - 1 for pair in chart.pairs]
+    mu = [pair[1] - 1 for pair in chart.pairs]
+    Jt = np.conj(g[lam][:, lam]) * Linv[mu][:, mu]  # Jt[p, q] = J[q, p]
+    vertical = np.zeros(T.shape[:2] + (d, d) + T.shape[2:], dtype=complex)
+    for (a, b), M in center.items():
+        if a >= n:
+            vertical += M[:, :, None, None, None] * (Jt[:, a - n, None] * np.conj(Jt[None, :, b - n]))
+    base = np.moveaxis(np.array([[center[j, k] for k in range(n)] for j in range(n)]), (0, 1), (2, 3))
+
+    Tt, Tinvt = (np.swapaxes(X, 0, 1)[:, :, None, None] for X in (T, Tinv))
+    blocks = [(off, _dot(_dot(Tt, B), Tinvt)) for off, B in ((n, vertical), (0, base))]
     pairs = [(off, B, p, q) for off, B in blocks for p in range(B.shape[2]) for q in range(B.shape[3])]
     coeffs = {(off + p, off + q): _unfold(B[:, :, p, q], shape) for off, B, p, q in pairs}
+    H0 = _dot(np.swapaxes(T, 0, 1), np.conj(T))
+    H0inv = _dot(np.conj(Tinv), np.swapaxes(Tinv, 0, 1))
     return coeffs, _unfold(H0, shape), _unfold(H0inv, shape)
 
 
-def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP):
+def _curvature_coeffs(spec, C, zeta):
     """Coefficient arrays of the curvature at z = 0 over a batch of fiber
     points, from the finite-difference stencils (the base block analytic).
 
@@ -513,9 +537,8 @@ def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP):
     H0 = _induced_metric(chart, spec, Z)
     H0inv = _inverse(H0)
     V = _frames(chart, Z)
-    K, _, _ = _bundle_projector(spec, V)
-    Hz = _base_coeffs(_dot(K, np.swapaxes(V, 0, 1)), C, H0inv)
-    ev = _Stencils(spec, C, Z, fd_step)
+    Hz = _base_coeffs(_dot(_bundle_projector(spec, V), np.swapaxes(V, 0, 1)), C, H0inv)
+    ev = _Stencils(spec, C, Z)
     base, fiber = range(n), range(n, n + d)
     P = {a: ev.d1(a) for a in range(n + d)}
     # the pair order is the term order of the forms built from these
@@ -535,7 +558,7 @@ def _curvature_coeffs(spec, C, zeta, fd_step=FD_STEP):
     return {key: _unfold(v, shape) for key, v in coeffs.items()}, _unfold(H0, shape), _unfold(H0inv, shape)
 
 
-def _audit_coeffs(spec, C, zeta, exact, fd_step):
+def _audit_coeffs(spec, C, zeta, exact):
     """Finite-difference audit of closed-form coefficients at the points
     zeta; a vertical key that ``exact`` lacks stands for a zero coefficient.
 
@@ -548,68 +571,57 @@ def _audit_coeffs(spec, C, zeta, exact, fd_step):
     anywhere makes the defects NaN.
     """
     n = chart_for(spec, C.n).n
-    fd, _, _ = _curvature_coeffs(spec, C, zeta, fd_step)
+    fd, _, _ = _curvature_coeffs(spec, C, zeta)
     scale = np.max([np.abs(v).max() for v in fd.values()], initial=1e-300)
     mixed = [np.abs(v).max() for (a, b), v in fd.items() if (a < n) != (b < n)]
     vertical = [np.abs(exact[key] - v if key in exact else v).max() for key, v in fd.items() if min(key) >= n]
     return float(np.max(mixed, initial=0.0) / scale), float(np.max(vertical, initial=0.0) / scale)
 
 
-def _symmetrize_coeffs(coeffs, H0, H0inv, n):
-    """Enforce the Hermitian symmetry of a Chern curvature in a holomorphic
-    frame, M[b,a] = H M[a,b]^H H^-1 (the plain conjugate-transpose relation
-    holds only in frames that are unitary at the point), on the two full
-    squares of ``_exact_coeffs``, fiber and base (a < n), each as one
-    (rk, rk, g, g, ...) array.  Returns the symmetrized dict, in the same
-    order, and the worst pre-symmetrization defect relative to the overall
-    scale (NaN if any coefficient is NaN)."""
-    out = {}
-    defect = scale = 0.0
-    gens = sorted({a for a, _ in coeffs})
-    for block in ([a for a in gens if a >= n], [a for a in gens if a < n]):
-        if not block:
-            continue
-        M = np.moveaxis(np.array([[coeffs[(a, b)] for b in block] for a in block]), (0, 1), (2, 3))
-        partner = _dot(_dot(H0[:, :, None, None], _herm_t(np.swapaxes(M, 2, 3))), H0inv[:, :, None, None])
-        defect = np.maximum(defect, np.abs(M - partner).max())
-        scale = np.maximum(scale, np.abs(M).max())
-        sym = 0.5 * (M + partner)
-        out.update({(a, b): sym[:, :, i, j] for i, a in enumerate(block) for j, b in enumerate(block)})
-    rel = defect / scale if scale != 0 else 0.0
-    return out, float(rel)
+def _hermitian_defect(coeffs, H0=None, H0inv=None):
+    """Worst gap from M[(b, a)] = H0 M[(a, b)]^H H0^-1, the Hermitian
+    symmetry of a Chern curvature in a frame with metric H0 (the identity
+    when H0 is not given: a unitary frame), relative to the largest
+    coefficient; NaN if one is NaN."""
+    gaps = []
+    for (a, b), M in coeffs.items():
+        partner = _herm_t(coeffs[b, a])
+        if H0 is not None:
+            partner = _dot(_dot(H0, partner), H0inv)
+        gaps.append(np.abs(M - partner).max())
+    scale = np.max([np.abs(M).max() for M in coeffs.values()])
+    return float(np.max(gaps) / scale) if scale else 0.0
 
 
 def curvature_at(spec, C, p, with_report=False):
-    """Full curvature matrix at a fiber point from the exact derivatives of
-    the induced metric; Hermiticity is symmetrized and the
-    pre-symmetrization defect reported as a quality metric.  Raises
-    ArithmeticError when the frame's Gram matrix is not finite, or when
-    eps * cond(H0) exceeds AUDIT_TOL: the induced metric H0, a Schur
-    complement, loses about that much relative accuracy."""
+    """Full curvature matrix at a fiber point: the center formula carried
+    there by a rotation (``_exact_coeffs``).  The result is Hermitian by
+    construction; its Hermitian defect is measured and, with with_report,
+    reported.  Raises ArithmeticError when the frame's Gram matrix is not
+    finite, or when eps * cond(V) exceeds AUDIT_TOL, with V the frame at
+    the point: its QR factorization, which the rotation comes from, loses
+    about that much relative accuracy."""
     chart = chart_for(spec, C.n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if not np.isfinite(gram(chart, p)).all():
             raise ArithmeticError("the frame's Gram matrix is not finite (too far out in the chart)")
-        coeffs, H0, H0inv = _exact_coeffs(spec, C, p)
-        try:
-            loss = np.finfo(float).eps * np.linalg.cond(H0)
-        except np.linalg.LinAlgError:  # H0 is not finite: a Gram block is singular in floating point
-            loss = np.inf
+        loss = np.finfo(float).eps * np.linalg.cond(frames_eps(chart, p))
         if not loss <= AUDIT_TOL:
             raise ArithmeticError(
-                f"the induced metric loses {loss:.3g} relative accuracy, beyond the "
+                f"the frame loses {loss:.3g} relative accuracy, beyond the "
                 f"tolerance {AUDIT_TOL:g} (too far out in the chart)"
             )
-    coeffs, defect = _symmetrize_coeffs(coeffs, H0, H0inv, chart.n)
+    coeffs, H0, H0inv = _exact_coeffs(spec, C, p)
     matrix = FormMatrix.from_coeffs(chart.space, spec.rank, coeffs)
     if with_report:
-        return matrix, {"hermitian_defect": defect}
+        return matrix, {"hermitian_defect": _hermitian_defect(coeffs, H0, H0inv)}
     return matrix
 
 
 def _center_coeffs(spec, C, g=None):
     """The paper's center formula: curvature coefficients at the chart
-    center, keyed and laid out like those of ``_exact_coeffs``.  Entry
+    center, keyed and laid out like those of ``_curvature_coeffs`` less
+    the mixed blocks, which vanish there.  Entry
     (beta, alpha) is c[j,k,alpha,beta] dz_j ^ dzbar_k, minus
     dzeta_(lam,alpha) ^ dzetabar_(lam,beta) for each index lam before the
     bundle's block, plus dzeta_(beta,mu) ^ dzetabar_(alpha,mu) for each
@@ -619,6 +631,9 @@ def _center_coeffs(spec, C, g=None):
     C_g[j,k] = g^T C[j,k] conj(g), whose center is the flag g (standard
     flag) in the frame of g's columns; then the base coefficients are
     (rk, rk, N), and the vertical ones stay constant (rk, rk) arrays.
+    It is the one curvature formula here: ``curvature_center`` reads it at
+    g = 1, the Monte Carlo integrand and ``theta_intrinsic`` at unitaries,
+    ``curvature_at`` through ``_exact_coeffs``.
     """
     chart = chart_for(spec, C.n)
     block, sub = spec.block(), spec.sub_block()
@@ -650,9 +665,12 @@ def theta_intrinsic(spec, V, C):
     """Horizontal curvature tensor of the universal bundle at the flag
     spanned by the trailing column blocks of the unitary matrix V, returned
     as the full r x r matrix Pi Theta Pi in the ambient frame (Pi the
-    orthogonal projector onto the bundle's column block).  Invariant under
-    right multiplication of V by block-diagonal unitaries, which is exactly
-    frame independence of the underlying tensor."""
+    orthogonal projector onto the bundle's column block).  The flag is the
+    center of the chart rotated by V, so Theta is the base block of the
+    center formula with the rotated tensor in the frame V_b, the bundle's
+    columns of V; in the ambient frame it is conj(V_b) Theta V_b^T.
+    Invariant under right multiplication of V by block-diagonal unitaries,
+    which is exactly frame independence of the underlying tensor."""
     V = np.asarray(V, dtype=complex)
     r = spec.rho.r
     if V.shape != (r, r):
@@ -660,13 +678,10 @@ def theta_intrinsic(spec, V, C):
     if np.abs(V @ _herm_t(V) - np.eye(r)).max() > 1e-10:
         raise ValueError("matrix is not unitary within 1e-10")
     chart = chart_for(spec, C.n)
-    q_idx, _ = _bundle_slices(spec)
-    P = np.zeros((r, r), dtype=complex)
-    P[q_idx, q_idx] = 1.0
-    Pi = V @ P @ _herm_t(V)
-    # entry (b, a) of the form matrix is (Pi c[j,k]^T Pi)[b, a]
+    Vb = V[:, _bundle_slices(spec)[0]]
+    center = _center_coeffs(spec, C, V[..., None])
     projected = {
-        (j, k): (Pi @ C.coeffs[j, k].T @ Pi).T
+        (j, k): np.conj(Vb) @ center[j, k][..., 0] @ Vb.T
         for j in range(chart.n)
         for k in range(chart.n)
     }
@@ -678,19 +693,17 @@ def theta_intrinsic(spec, V, C):
 
 @dataclass
 class SamplerConfig:
-    """Monte Carlo settings.  ``fd_step`` is the step of the finite-difference
-    audit of the center formula.  ``seed`` keys 64-bit random streams.
+    """Monte Carlo settings.  ``seed`` keys 64-bit random streams.
     ``proposal`` is accepted for older callers and ignored: every run
     draws Haar-random rotations."""
 
     num_samples: int
     seed: int
     chunk: int = MC_CHUNK
-    fd_step: float = FD_STEP
     proposal: str = "auto"
 
     def to_json(self):
-        return {"num_samples": self.num_samples, "seed": self.seed, "chunk": self.chunk, "fd_step": self.fd_step}
+        return {"num_samples": self.num_samples, "seed": self.seed, "chunk": self.chunk}
 
 
 def _as_sampler(sampler):
@@ -702,19 +715,12 @@ def _as_sampler(sampler):
 
 
 def _haar_unitaries(rng, r, count):
-    """count Haar-random r x r unitaries, samples last (r, r, count): the QR
-    factorization with a positive diagonal of R of complex Ginibre matrices
-    (Mezzadri, Notices AMS 54, 2007), by Gram-Schmidt with every projection
-    done twice, which keeps ill-conditioned draws orthonormal to rounding."""
+    """count Haar-random r x r unitaries, samples last (r, r, count): the Q
+    factor, with a positive diagonal of R, of complex Ginibre matrices
+    (Mezzadri, Notices AMS 54, 2007)."""
     x = rng.standard_normal((2, r, r, count))
-    cols = []
-    for a in range(r):
-        v = x[0, :, a] + 1j * x[1, :, a]  # (r, count)
-        for _ in range(2):
-            for u in cols:
-                v -= (np.conj(u) * v).sum(axis=0) * u
-        cols.append(v / np.sqrt((v.real**2 + v.imag**2).sum(axis=0)))
-    return np.stack(cols, axis=1)
+    x = x[0] + 1j * x[1]  # the real draws are freed before the factorization
+    return _qr(x)[0]
 
 
 def _fiber_volume(rho):
@@ -726,14 +732,6 @@ def _fiber_volume(rho):
     d = sum(a * b for a, b in combinations(blocks, 2))
     sf = [math.prod(map(math.factorial, range(k + 1))) for k in range(rho.r)]
     return math.pi**d * math.prod(sf[b - 1] for b in blocks) / sf[rho.r - 1]
-
-
-def _hermitian_defect(coeffs):
-    """Worst gap from M[(b, a)] = M[(a, b)]^H, the Hermitian symmetry of a curvature
-    in a unitary frame, relative to the largest coefficient; NaN if one is NaN."""
-    gaps = [np.abs(M - _herm_t(coeffs[b, a])).max() for (a, b), M in coeffs.items()]
-    scale = np.max([np.abs(M).max() for M in coeffs.values()])
-    return float(np.max(gaps) / scale) if scale else 0.0
 
 
 @dataclass
@@ -797,7 +795,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     come from centered per-chunk sums, so an integrand that does not depend
     on g reports 0; a sample that is not finite is dropped and counted.
 
-    Once per bundle, finite differences with step ``fd_step`` recompute the
+    Once per bundle, finite differences with step FD_STEP recompute the
     curvature at the chart center, where neither the vertical nor the mixed
     blocks depend on g: the mixed blocks must vanish and the vertical block
     must match the center formula, both to AUDIT_TOL relative, or
@@ -825,7 +823,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
 
     center = np.zeros((1, d))
     audits = [
-        _audit_coeffs(spec, C, center, {key: v[..., None] for key, v in _center_coeffs(spec, C).items()}, cfg.fd_step)
+        _audit_coeffs(spec, C, center, {key: v[..., None] for key, v in _center_coeffs(spec, C).items()})
         for spec in specs
     ]
     mixed_defect, vertical_defect = np.max([(0.0, 0.0)] + audits, axis=0).tolist()  # a NaN stays

@@ -20,7 +20,6 @@ from .combinat import (
 )
 from .conegeom import builtin_families, cone_membership_2d, in_schur_cone, ray_hull_2d
 from .flagnum import (
-    FD_STEP,
     ChartPoint,
     FlagChart,
     SamplerConfig,
@@ -265,8 +264,9 @@ def _config_stream(seed, count, max_n=4, max_r=4):
 
 def curvature_center_checks(cases=20, seed=20240401, tol=1e-5):
     """The exact center formula against the finite-difference stencils at
-    zeta = 0 (an independent route: ``curvature_at`` is closed-form and
-    equals the center formula there), relative error <= tol."""
+    zeta = 0, relative error <= tol.  The stencils are the independent
+    route: ``curvature_at`` is the center formula carried to a point, and
+    at zeta = 0 it is the center formula itself."""
     worst = 0.0
     for C, rho, spec in _config_stream(seed, cases):
         chart = chart_for(spec, C.n)
@@ -326,8 +326,9 @@ def theta_invariance_checks(trials=50, seed=20240402, tol=1e-12):
 def mixed_block_checks(points=10, seed=20240403, tol=1e-6):
     """The finite-difference audit (``_audit_coeffs``) at the center and at
     random chart points: the mixed base-fiber coefficients of the stencils
-    vanish, and the exact vertical block matches them, both within tol of
-    the largest stencil coefficient."""
+    vanish, and the vertical block of the center formula carried to each
+    point (``_exact_coeffs``) matches them, both within tol of the largest
+    stencil coefficient."""
     checks = []
     for C, rho, spec in _config_stream(seed, 4, max_n=3, max_r=4):
         chart = chart_for(spec, C.n)
@@ -335,7 +336,7 @@ def mixed_block_checks(points=10, seed=20240403, tol=1e-6):
         draws = 0.7 * rng.standard_normal((2, points, chart.d))
         zeta = np.concatenate([np.zeros((1, chart.d)), draws[0] + 1j * draws[1]])
         exact, _, _ = _exact_coeffs(spec, C, zeta)
-        mixed, vertical = _audit_coeffs(spec, C, zeta, exact, FD_STEP)
+        mixed, vertical = _audit_coeffs(spec, C, zeta, exact)
         checks.append(
             _check(
                 f"mixed blocks rho={spec.rho.rho} spec=({spec.ell},{spec.l})",
