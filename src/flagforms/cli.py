@@ -254,6 +254,8 @@ def cmd_verify(args):
         kwargs["seed"] = args.seed
     if args.samples is not None:
         _require_positive("--samples", args.samples)
+        if args.samples < 2:
+            raise SystemExit(f"--samples must be at least 2, got {args.samples}")
         kwargs["samples"] = args.samples
     checks = run_suite(args.suite, **kwargs)
     return _checks_report(checks, args.json)

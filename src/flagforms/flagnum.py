@@ -17,9 +17,9 @@ tests.
 Curvature coefficients are dicts keyed by pairs (a, b) of chart
 generator indices: z_1..z_n, then one zeta per admissible pair.  The
 finite-difference stencils (``_Stencils``) take the same index and shift
-generator a (and b) by its own step.  Induced metrics, at stencil points
-and in ``metric_universal``, come from one samples-last kernel
-(``_induced_metric``): elementwise arithmetic on length-N vectors over
+generator a (and b) by its own step, every stencil of an audit in one call
+of the samples-last metric kernel (``_induced_metric``), which also serves
+``metric_universal``: elementwise arithmetic on length-N vectors over
 the frame entries that are not structurally zero, with the quotient
 metric as a Schur complement taken one pivot at a time.
 
@@ -370,9 +370,11 @@ class _Stencils:
     much larger than another, the stencils lose accuracy.
     The base coordinates keep the plain step FD_STEP.
 
-    The points are kept samples last, one row per chart generator; each
-    stencil batch shifts them and evaluates the metric at every shifted
-    point of every sample in one call of ``_induced_metric``.
+    The points are kept samples last, one row per chart generator;
+    ``derivatives`` shifts them by every stencil of every derivative that
+    the curvature reads and evaluates the metric at all shifted points of
+    all samples in one call of ``_induced_metric``, with z = 0 where no
+    base generator moves.
     """
 
     def __init__(self, spec, C, Z):
@@ -383,50 +385,45 @@ class _Stencils:
         scale = np.sqrt(1.0 + np.sum(np.abs(Z) ** 2, axis=0))
         self.h = np.concatenate([np.full((n, count), FD_STEP), np.tile(FD_STEP * scale, (len(Z), 1))])
 
-    def _sums(self, moves, weights, denom):
-        """Weighted stencil sums of the metric, one per consecutive block of
-        len(weights) moves, each divided by the per-sample denom.  A move is
-        a tuple of (a, m, unit) triples, each shifting generator a by m of
-        its steps along unit (1 or 1j).  All moves of all samples go through
-        one call of the metric kernel."""
-        steps = np.zeros((len(self.x), len(moves)), dtype=complex)
-        for i, move in enumerate(moves):
-            for a, m, unit in move:
-                steps[a, i] = m * unit
-        x = self.x[:, None, :] + steps[:, :, None] * self.h[:, None, :]  # (n + d, moves, N)
-        n = self.chart.n
-        x = x.reshape(len(x), x.shape[1] * x.shape[2])
-        z = x[:n] if any(a < n for move in moves for a, _, _ in move) else None
-        F = _induced_metric(self.chart, self.spec, x[n:], self.C, z)
-        F = F.reshape(F.shape[:2] + (len(moves) // len(weights), len(weights), -1))
-        acc = weights[0] * F[..., 0, :]
-        for i in range(1, len(weights)):
-            acc = acc + weights[i] * F[..., i, :]
-        acc = acc / denom
-        return [acc[:, :, block] for block in range(acc.shape[2])]
+    def derivatives(self, pairs):
+        """d/dg_a of the metric for every generator a, as one (rk, rk, n + d, N)
+        array, and d/dg_a d/dgbar_b for every (a, b) in pairs, as a dict.
 
-    def d1(self, a):
-        """d/dg_a of the metric."""
-        moves = [((a, m, unit),) for unit in (1, 1j) for m, _ in _W1]
-        dx, dy = self._sums(moves, [w for _, w in _W1], 12 * self.h[a])
-        return 0.5 * (dx - 1j * dy)
-
-    def d2(self, a, b):
-        """d/dg_a d/dgbar_b of the metric."""
-        h_a, h_b = self.h[a], self.h[b]
-        if a == b:
-            moves = [((a, m, unit),) for unit in (1, 1j) for m, _ in _W2]
-            dxx, dyy = self._sums(moves, [w for _, w in _W2], 12 * h_a * h_a)
-            return 0.25 * (dxx + dyy)
-        units = ((1, 1), (1, 1j), (1j, 1), (1j, 1j))
-        moves = [
-            ((a, ma, unit_a), (b, mb, unit_b))
-            for unit_a, unit_b in units
-            for ma, _ in _W1
-            for mb, _ in _W1
+        A family of derivatives moves the generators of each of its tuples
+        along the product of one stencil per generator, once per part: the
+        units (1 or 1j, the x or y direction) of every generator.  A part
+        is the weighted sum over its moves in stencil order, divided by the
+        per-sample denominator before the parts are combined."""
+        h, n = self.h, self.chart.n
+        diag, mixed = [ab for ab in pairs if ab[0] == ab[1]], [ab for ab in pairs if ab[0] != ab[1]]
+        da, ia, ib = [a for a, _ in diag], [a for a, _ in mixed], [b for _, b in mixed]
+        families = [  # (generator tuples, stencil, units per part, denominators, combination)
+            ([(a,) for a in range(len(h))], _W1, [(1,), (1j,)], 12 * h, lambda dx, dy: 0.5 * (dx - 1j * dy)),
+            ([(a,) for a in da], _W2, [(1,), (1j,)], 12 * h[da] * h[da], lambda dxx, dyy: 0.25 * (dxx + dyy)),
+            (mixed, _W1, list(product((1, 1j), repeat=2)), 144 * h[ia] * h[ib],
+             lambda xx, xy, yx, yy: 0.25 * (xx + 1j * xy - 1j * yx + yy)),
         ]
-        mixed = self._sums(moves, [wa * wb for _, wa in _W1 for _, wb in _W1], 144 * h_a * h_b)
-        return 0.25 * (mixed[0] + 1j * mixed[1] - 1j * mixed[2] + mixed[3])
+        steps = []
+        for gens, W, units, *_ in families:
+            moves = [(u, ms) for u in units for ms in product([m for m, _ in W], repeat=len(u))]
+            block = np.zeros((len(h), len(gens), len(moves)), dtype=complex)
+            for j in range(len(units[0])):  # generator j of every tuple moves by ms[j] * u[j]
+                block[[g[j] for g in gens], range(len(gens))] = [ms[j] * u[j] for u, ms in moves]
+            steps.append(block.reshape(len(h), -1))
+        steps = np.concatenate(steps, axis=1)
+        x = (self.x[:, None, :] + steps[:, :, None] * h[:, None, :]).reshape(len(h), -1)  # (n + d, moves * N)
+        F = _induced_metric(self.chart, self.spec, x[n:], self.C, x[:n])
+        F = F.reshape(F.shape[:2] + (steps.shape[1], h.shape[1]))
+        out = []
+        for gens, W, units, denom, combine in families:
+            weights = [math.prod(ws) for ws in product([w for _, w in W], repeat=len(units[0]))]
+            G, F = np.split(F, [len(gens) * len(units) * len(weights)], axis=2)
+            G = G.reshape(G.shape[:2] + (len(gens), len(units), len(weights), -1))
+            acc = weights[0] * G[..., 0, :]
+            for i in range(1, len(weights)):
+                acc = acc + weights[i] * G[..., i, :]
+            out.append(combine(*np.moveaxis(acc / denom[:, None], 3, 0)))
+        return out[0], dict(zip(diag + mixed, np.moveaxis(np.concatenate(out[1:], axis=2), 2, 0)))
 
 
 def _bundle_projector(spec, V):
@@ -538,23 +535,23 @@ def _curvature_coeffs(spec, C, zeta):
     H0inv = _inverse(H0)
     V = _frames(chart, Z)
     Hz = _base_coeffs(_dot(_bundle_projector(spec, V), np.swapaxes(V, 0, 1)), C, H0inv)
-    ev = _Stencils(spec, C, Z)
     base, fiber = range(n), range(n, n + d)
-    P = {a: ev.d1(a) for a in range(n + d)}
     # the pair order is the term order of the forms built from these
     # coefficients, which fixes the rounding of sums over their terms: the
     # vertical block with each pair beside its mirror, the horizontal block,
     # then the mixed blocks
     pairs = sorted(product(fiber, fiber), key=lambda ab: (min(ab), max(ab), ab[0] > ab[1]))
     pairs += list(product(base, base)) + list(product(base, fiber)) + list(product(fiber, base))
-    coeffs, S = {}, {}
-    for a, b in pairs:
-        if a < n and b < n:
-            coeffs[(a, b)] = Hz[:, :, a, b]
-            continue
+    fd, coeffs = [(a, b) for a, b in pairs if max(a, b) >= n], {}
+    if fd:  # none on a point fiber
         # the metric is Hermitian: the vertical lower triangle mirrors the upper
-        S[a, b] = _herm_t(S[b, a]) if n <= b < a else ev.d2(a, b)
-        coeffs[(a, b)] = _dot(_dot(_dot(P[a], H0inv), _herm_t(P[b])) - S[a, b], H0inv)
+        P, S = _Stencils(spec, C, Z).derivatives([(a, b) for a, b in fd if not n <= b < a])
+        S = np.stack([_herm_t(S[b, a]) if n <= b < a else S[a, b] for a, b in fd], axis=2)
+        # all pairs at once: (P_a H0^-1 P_b^H - S_ab) H0^-1
+        ia, ib = np.array(fd).T
+        M = _dot(_dot(_dot(P, H0inv[:, :, None])[:, :, ia], _herm_t(P[:, :, ib])) - S, H0inv[:, :, None])
+        coeffs = dict(zip(fd, np.moveaxis(M, 2, 0)))
+    coeffs = {(a, b): Hz[:, :, a, b] if max(a, b) < n else coeffs[a, b] for a, b in pairs}
     return {key: _unfold(v, shape) for key, v in coeffs.items()}, _unfold(H0, shape), _unfold(H0inv, shape)
 
 
@@ -583,12 +580,12 @@ def _hermitian_defect(coeffs, H0=None, H0inv=None):
     symmetry of a Chern curvature in a frame with metric H0 (the identity
     when H0 is not given: a unitary frame), relative to the largest
     coefficient; NaN if one is NaN."""
-    gaps = []
-    for (a, b), M in coeffs.items():
-        partner = _herm_t(coeffs[b, a])
-        if H0 is not None:
-            partner = _dot(_dot(H0, partner), H0inv)
-        gaps.append(np.abs(M - partner).max())
+    if H0 is None:
+        gaps = [np.abs(M - _herm_t(coeffs[b, a])).max() for (a, b), M in coeffs.items()]
+    else:  # every coefficient has the per-sample shape of H0: one stacked computation
+        M = np.stack(list(coeffs.values()), axis=2)
+        partner = _herm_t(np.stack([coeffs[b, a] for a, b in coeffs], axis=2))
+        gaps = [np.abs(M - _dot(_dot(H0[:, :, None], partner), H0inv[:, :, None])).max()]
     scale = np.max([np.abs(M).max() for M in coeffs.values()])
     return float(np.max(gaps) / scale) if scale else 0.0
 
@@ -793,7 +790,8 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     canonical vertical volume prod_p (i/2) dzeta_p ^ dzetabar_p, times the
     fiber volume c_rho, is averaged with equal weights.  Standard errors
     come from centered per-chunk sums, so an integrand that does not depend
-    on g reports 0; a sample that is not finite is dropped and counted.
+    on g reports 0, and are NaN with fewer than two finite samples; a sample
+    that is not finite is dropped and counted.
 
     Once per bundle, finite differences with step FD_STEP recompute the
     curvature at the chart center, where neither the vertical nor the mixed
@@ -885,14 +883,10 @@ def pushforward_numeric(chart, F_expr, C, sampler):
         m2 = m2 + chunk_m2 + np.abs(delta) ** 2 * (n_finite * m / total)
         n_finite = total
 
-    terms, stderr = {}, {}
-    for key, mu, sq in (zip(keys, mean.tolist(), m2.tolist()) if n_finite else ()):
-        se = math.sqrt(sq) / n_finite
-        if mu != 0 or se != 0:
-            terms[key] = mu
-        stderr[key] = se
+    # fewer than two finite samples measure no spread: the error is unknown
+    stderr = {key: math.sqrt(sq) / n_finite if n_finite > 1 else math.nan for key, sq in zip(keys, m2.tolist())}
     return PushforwardEstimate(
-        form=ExtForm(base_space, terms),
+        form=ExtForm(base_space, dict(zip(keys, mean.tolist()))),
         stderr=stderr,
         n_samples=n_finite,
         n_requested=cfg.num_samples,
@@ -923,7 +917,8 @@ class MainTheoremReport:
         residual within rounding, 1e-12 of the truth's scale, counts as 0:
         the standard error measures sampling noise only, and an integrand
         that does not depend on the rotation varies by rounding alone, or
-        not at all.  A larger residual with no sampling error is infinite."""
+        not at all.  A larger residual with no sampling error is infinite,
+        and with an unknown one (fewer than two samples) NaN, never within."""
         if self.residual_abs <= 1e-12 * max(1.0, self.truth.norm()):
             return 0.0
         if self.stderr_total == 0:

@@ -214,6 +214,14 @@ def test_non_positive_counts_are_usage_errors(capsys, argv, flag):
     assert err == f"error: {flag} must be a positive integer, got {argv[argv.index(flag) + 1]}\n"
 
 
+def test_verify_needs_two_samples(capsys):
+    # one sample has no standard error, so no Monte Carlo check can pass
+    code, out, err = run(capsys, "--json", "verify", "--suite", "gysin-numeric", "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --samples must be at least 2, got 1\n"
+
+
 @pytest.mark.parametrize("target", ["1", "1,2,3"])
 def test_cone_target_must_be_two_integers(capsys, target):
     code, out, err = run(capsys, "cone", "--family", "fcone-r2", "--target", target)

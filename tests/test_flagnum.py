@@ -705,6 +705,101 @@ def test_audit_rejects_a_nan_in_the_vertical_block(monkeypatch):
         )
 
 
+class _PerDerivativeStencils:
+    """The stencils of a ``flagnum._Stencils`` one derivative at a time, one
+    metric-kernel call each and z passed only when a base generator moves:
+    the oracle of the batched ``derivatives``."""
+
+    def __init__(self, ev):
+        self.ev = ev
+
+    def _sums(self, moves, weights, denom):
+        ev, n = self.ev, self.ev.chart.n
+        steps = np.zeros((len(ev.x), len(moves)), dtype=complex)
+        for i, move in enumerate(moves):
+            for a, m, unit in move:
+                steps[a, i] = m * unit
+        x = ev.x[:, None, :] + steps[:, :, None] * ev.h[:, None, :]
+        x = x.reshape(len(x), x.shape[1] * x.shape[2])
+        z = x[:n] if any(a < n for move in moves for a, _, _ in move) else None
+        F = flagnum._induced_metric(ev.chart, ev.spec, x[n:], ev.C, z)
+        F = F.reshape(F.shape[:2] + (len(moves) // len(weights), len(weights), -1))
+        acc = weights[0] * F[..., 0, :]
+        for i in range(1, len(weights)):
+            acc = acc + weights[i] * F[..., i, :]
+        acc = acc / denom
+        return [acc[:, :, block] for block in range(acc.shape[2])]
+
+    def d1(self, a):
+        moves = [((a, m, unit),) for unit in (1, 1j) for m, _ in flagnum._W1]
+        dx, dy = self._sums(moves, [w for _, w in flagnum._W1], 12 * self.ev.h[a])
+        return 0.5 * (dx - 1j * dy)
+
+    def d2(self, a, b):
+        W1, W2 = flagnum._W1, flagnum._W2
+        h_a, h_b = self.ev.h[a], self.ev.h[b]
+        if a == b:
+            moves = [((a, m, unit),) for unit in (1, 1j) for m, _ in W2]
+            dxx, dyy = self._sums(moves, [w for _, w in W2], 12 * h_a * h_a)
+            return 0.25 * (dxx + dyy)
+        units = ((1, 1), (1, 1j), (1j, 1), (1j, 1j))
+        moves = [((a, ma, ua), (b, mb, ub)) for ua, ub in units for ma, _ in W1 for mb, _ in W1]
+        mixed = self._sums(moves, [wa * wb for _, wa in W1 for _, wb in W1], 144 * h_a * h_b)
+        return 0.25 * (mixed[0] + 1j * mixed[1] - 1j * mixed[2] + mixed[3])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_stencils_equal_the_per_derivative_stencils(n):
+    # every derivative that the curvature reads, bit for bit, at the chart
+    # center and at six seeded points of every bundle with r <= 4
+    specs = list(_every_bundle())
+    assert len(specs) == 52
+    for i, spec in enumerate(specs):
+        C = random_tensor(n, spec.rho.r, 900 + i)
+        chart = chart_for(spec, n)
+        rng = np.random.default_rng(900 + i)
+        draws = 0.7 * (rng.standard_normal((6, chart.d)) + 1j * rng.standard_normal((6, chart.d)))
+        zeta = np.concatenate([np.zeros((1, chart.d)), draws])
+        ev = flagnum._Stencils(spec, C, np.ascontiguousarray(zeta.T))
+        oracle = _PerDerivativeStencils(ev)
+        gens = range(n + chart.d)
+        # the diagonal, the upper vertical triangle and both mixed blocks
+        pairs = [(a, b) for a in gens for b in gens if max(a, b) >= n and not n <= b < a]
+        P, S = ev.derivatives(pairs)
+        assert P.shape == (spec.rank, spec.rank, len(gens), 7) and S.keys() == set(pairs)
+        for a in gens:
+            assert oracle.d1(a).tobytes() == np.ascontiguousarray(P[:, :, a]).tobytes(), (spec, a)
+        for a, b in pairs:
+            assert oracle.d2(a, b).tobytes() == np.ascontiguousarray(S[a, b]).tobytes(), (spec, a, b)
+
+
+def test_one_kernel_call_for_all_stencils(monkeypatch):
+    # the curvature by finite differences: one call for the metric at the
+    # points and one for every stencil point of every derivative
+    calls, kernel = [], flagnum._induced_metric
+
+    def counted(chart, spec, zeta, C=None, z=None):
+        calls.append(zeta.shape[1])
+        return kernel(chart, spec, zeta, C, z)
+
+    monkeypatch.setattr(flagnum, "_induced_metric", counted)
+    spec = UniversalBundleSpec(DimensionSequence((0, 2, 4)), 1, 2)
+    C = griffiths_sample(2, 4, terms=4, seed=0)
+    flagnum._curvature_coeffs(spec, C, np.zeros((3, 4)))
+    # 6 first derivatives of 8 moves, 4 diagonal ones of 10, and 6 vertical
+    # and 16 mixed pairs of 64 moves, at 3 points
+    assert calls == [3, 3 * (6 * 8 + 4 * 10 + 22 * 64)]
+
+    # the Monte Carlo cases of the benchmark's mc-fiber pass: one audit each
+    calls.clear()
+    for rho, expr, seed in (((0, 1, 3), "c1(Q1)^2*c2(Q1)", 31), ((0, 2, 4), "c1(Q2)^4*c2(Q2)", 0)):
+        C = griffiths_sample(2, rho[-1], terms=4, seed=seed)
+        verify_main_theorem(FlagChart(rho, 2), expr, C, SamplerConfig(num_samples=200, seed=seed))
+    flat = CurvatureTensor.zero(1, 2)
+    pushforward_numeric(FlagChart((0, 1, 2), 1), "0 - c1(U1)", flat, SamplerConfig(num_samples=200, seed=1))
+    assert len(calls) == 6
+
+
 def test_audit_matches_the_solve_based_metric_route(monkeypatch):
     # the stencils through the metric kernel against the stencils through
     # the solve-based reference, on every bundle with r <= 4
@@ -748,6 +843,32 @@ def test_monte_carlo_estimates_do_not_depend_on_the_metric_route(monkeypatch):
         assert new.stderr == old.stderr
         assert abs(new.mixed_block_defect - old.mixed_block_defect) <= 1e-10
         assert abs(new.vertical_audit_defect - old.vertical_audit_defect) <= 1e-10
+
+
+def test_fewer_than_two_finite_samples_have_no_standard_error(monkeypatch):
+    # one sample measures no spread: its standard error is unknown, not 0,
+    # and the residual against the truth is never within a bound
+    chart = FlagChart((0, 1, 3), 2)
+    C = griffiths_sample(2, 3, terms=2, seed=7)
+    report = verify_main_theorem(chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=1, seed=3))
+    assert report.estimate.n_samples == 1 and report.estimate.stderr
+    assert all(math.isnan(se) for se in report.estimate.stderr.values())
+    assert math.isnan(report.stderr_total) and not report.consistent_within <= 3.0
+
+    # two samples of which one is not finite
+    center = flagnum._center_coeffs
+
+    def one_nan(spec, C, g=None):
+        coeffs = center(spec, C, g)
+        if g is not None:
+            coeffs[(0, 1)][0, 0, 1] = np.nan
+        return coeffs
+
+    monkeypatch.setattr(flagnum, "_center_coeffs", one_nan)
+    est = pushforward_numeric(chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=2, seed=3))
+    assert est.n_samples == 1 and est.n_nonfinite == 1
+    assert all(math.isnan(se) for se in est.stderr.values())
+    assert all(math.isnan(c["stderr"]) for c in est.to_json()["coefficients"])
 
 
 def test_curvature_at_rejects_non_finite_coefficients():
