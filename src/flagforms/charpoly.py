@@ -14,6 +14,12 @@ of equal byte width, so multiplying monomials is adding ints, and the
 coefficients are integer numerators over one common denominator per
 operand (Monagan & Pearce, "Polynomial division using dynamic arrays,
 heaps, and packed exponent vectors", CASC 2007).
+
+A Schur polynomial S_sigma is the Jacobi-Trudi determinant of size
+len(sigma).  Schur coordinates need no linear solve: the Schur basis is
+unitriangular against the monomials c^mu = prod c_{mu_i} in lexicographic
+order (Macdonald, Symmetric Functions and Hall Polynomials, I.6), so one
+sweep peels off each S_sigma at its leading monomial c^sigma.
 """
 
 from fractions import Fraction
@@ -50,6 +56,14 @@ def _unpack(keys, r, width):
     ]
 
 
+def _over(numerators, den):
+    """The coefficients numerator / den: an int where den divides the
+    numerator, a Fraction only where it does not."""
+    if den == 1:
+        return numerators
+    return [n // den if not n % den else Fraction(n, den) for n in numerators]
+
+
 def _norm_coeff(c):
     # keep plain ints when exact, Fractions otherwise
     if isinstance(c, Fraction):
@@ -69,7 +83,7 @@ class ChernPoly:
     c_3 has terms {(3,0,0): 1, (1,1,0): 2, (0,0,1): -1}.
     """
 
-    __slots__ = ("r", "_terms", "_packing")
+    __slots__ = ("r", "_terms", "_packing", "_numer")
 
     #: variable name stem, and the key of the exponent lists in JSON
     _var, _exps_key = "c", "exps"
@@ -95,7 +109,7 @@ class ChernPoly:
                 if coeff != 0:
                     clean[exps] = coeff
         self._terms = MappingProxyType(clean)
-        self._packing = None
+        self._packing = self._numer = None
 
     @property
     def terms(self):
@@ -107,7 +121,7 @@ class ChernPoly:
         out = cls.__new__(cls)
         out.r = r
         out._terms = MappingProxyType(terms)
-        out._packing = None
+        out._packing = out._numer = None
         return out
 
     def _packed(self, width=1):
@@ -123,15 +137,24 @@ class ChernPoly:
         if packing is None:
             terms = self._terms
             top = max(chain.from_iterable(terms), default=0)
-            coeffs = terms.values()
-            den = lcm(*map(_denominator, coeffs))
-            if den != 1:
-                coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
             natural = max(1, ((2 * top).bit_length() + 7) // 8)
-            packing = self._packing = (natural, _pack(terms, natural), coeffs, den)
+            packing = self._packing = (natural, _pack(terms, natural)) + self._numerators()
         if width > packing[0]:
             return (width, _pack(self._terms, width)) + packing[2:]
         return packing
+
+    def _numerators(self):
+        """(numerators, denominator): the coefficients as integer numerators
+        over their least common denominator, in term order.  Cached apart
+        from the packing, so that a caller that needs no keys packs none."""
+        numer = self._numer
+        if numer is None:
+            coeffs = self._terms.values()
+            den = lcm(*map(_denominator, coeffs))
+            if den != 1:
+                coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+            numer = self._numer = (coeffs, den)
+        return numer
 
     # -- constructors -------------------------------------------------
 
@@ -220,10 +243,7 @@ class ChernPoly:
                     acc[k] = new
                 else:
                     del acc[k]
-        den = den1 * den2
-        coeffs = acc.values()
-        if den != 1:
-            coeffs = [_norm_coeff(Fraction(n, den)) for n in coeffs]
+        coeffs = _over(acc.values(), den1 * den2)
         return self._wrap(self.r, dict(zip(_unpack(acc, self.r, width), coeffs)))
 
     __rmul__ = __mul__
@@ -415,22 +435,24 @@ _SCHUR_CACHE = {}
 
 def schur(sigma, r):
     """Schur polynomial S_sigma as the Jacobi-Trudi determinant
-    det(c_{sigma_i + j - i}) of size |sigma|, with c_0 = 1 and c_s = 0
-    for s < 0 or s > r."""
+    det(c_{sigma_i + j - i}) of size len(sigma), with c_0 = 1 and c_s = 0
+    for s < 0 or s > r.
+
+    Padding sigma with zero parts, to size |sigma| or any other, adds rows
+    c_{j-i}: they are 0 left of the diagonal and 1 on it, so the padded
+    matrix is block upper triangular with a unitriangular corner, and its
+    determinant is this one."""
     sigma = Partition(sigma)
     key = (sigma.parts, r)
     cached = _SCHUR_CACHE.get(key)
     if cached is not None:
         return cached
-    k = sigma.weight()
-    if k == 0:
-        result = ChernPoly.one(r)
-    else:
-        parts = sigma.padded(k)
-        rows = [
-            [_chern_entry(r, parts[i] + j - i) for j in range(k)] for i in range(k)
-        ]
-        result = det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
+    parts = sigma.parts
+    size = len(parts)
+    rows = [
+        [_chern_entry(r, parts[i] + j - i) for j in range(size)] for i in range(size)
+    ]
+    result = det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
     _SCHUR_CACHE[key] = result
     return result
 
@@ -568,46 +590,21 @@ class SchurVector:
         )
 
 
-def _monomials_of_degree(r, k):
-    """Exponent tuples of weighted degree k, in graded-lex order."""
-    out = []
-
-    def rec(pos, remaining, acc):
-        if pos == r:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        w = pos + 1
-        for a in range(remaining // w, -1, -1):
-            acc.append(a)
-            rec(pos + 1, remaining - w * a, acc)
-            acc.pop()
-
-    rec(0, k, [])
-    return sorted(out)
-
-
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over Fractions; raises on singular input."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular transition matrix in Schur basis solve")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[-1] for row in aug]
-
-
 def schur_decompose(poly, k=None):
     """Exact coordinates of a weighted-homogeneous ChernPoly in the Schur
-    basis of its degree; reconstruction is exact by construction."""
+    basis of its degree; reconstruction is exact by construction.
+
+    The basis is unitriangular against the monomials: with c^mu the
+    product of the c_{mu_i}, S_sigma = c^sigma + sum a_mu c^mu over the
+    partitions mu that strictly dominate sigma, the transition from the
+    elementary symmetric functions to the Schur functions (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.6).  Lexicographic order
+    refines dominance, so sweeping the partitions of k with parts <= r
+    upwards in it, the coefficient of c^sigma left in the remainder is the
+    coordinate of S_sigma, and subtracting that multiple of S_sigma clears
+    it.  The remainder is kept as integer numerators over the input's
+    common denominator: Schur polynomials have integer coefficients.
+    """
     if not poly.is_homogeneous():
         raise ValueError("schur_decompose needs a weighted-homogeneous polynomial")
     if k is None:
@@ -617,23 +614,14 @@ def schur_decompose(poly, k=None):
     elif poly.degree() not in (None, k):
         raise ValueError(f"polynomial has degree {poly.degree()}, expected {k}")
     r = poly.r
-    basis = list(partitions_of(k, max_part=r))
-    monomials = _monomials_of_degree(r, k)
-    index = {m: i for i, m in enumerate(monomials)}
-    if len(basis) != len(monomials):
-        raise ArithmeticError(
-            f"Schur basis size {len(basis)} != monomial count {len(monomials)}"
-        )
-    cols = []
-    for sigma in basis:
-        s = schur(sigma, r)
-        col = [0] * len(monomials)
-        for exps, coeff in s.terms.items():
-            col[index[exps]] = coeff
-        cols.append(col)
-    matrix = [[cols[j][i] for j in range(len(basis))] for i in range(len(monomials))]
-    rhs = [0] * len(monomials)
-    for exps, coeff in poly.terms.items():
-        rhs[index[exps]] = coeff
-    solution = _solve_exact(matrix, rhs)
-    return SchurVector(k, r, dict(zip(basis, solution)))
+    nums, den = poly._numerators()
+    rest = ChernPoly._wrap(r, dict(zip(poly.terms, nums)))
+    coords = {}
+    for sigma in reversed(list(partitions_of(k, max_part=r))):
+        lead = rest.terms.get(tuple(sigma.parts.count(j) for j in range(1, r + 1)))
+        if lead:
+            coords[sigma] = lead
+            rest = rest - schur(sigma, r) * lead
+    if not rest.is_zero():
+        raise ArithmeticError(f"Schur peeling left a remainder {rest}")
+    return SchurVector(k, r, dict(zip(coords, _over(coords.values(), den))))

@@ -35,12 +35,6 @@ class Partition:
     def length(self):
         return len(self.parts)
 
-    def padded(self, n):
-        """The parts padded with zeros to length n (n >= length)."""
-        if n < len(self.parts):
-            raise ValueError(f"cannot pad {self.parts!r} to shorter length {n}")
-        return self.parts + (0,) * (n - len(self.parts))
-
     def conjugate(self):
         """Transpose of the Young diagram."""
         if not self.parts:

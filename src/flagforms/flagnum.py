@@ -300,6 +300,9 @@ def splitting_u(spec, C, z, p):
 
 # -- curvature ---------------------------------------------------------------
 
+#: most shifted points that one metric-kernel call of the stencils holds;
+#: the kernel's temporaries grow with them
+_STENCIL_COLUMNS = 6144
 _W1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # f' stencil, / 12h
 _W2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # f'', / 12h^2
 
@@ -372,9 +375,10 @@ class _Stencils:
 
     The points are kept samples last, one row per chart generator;
     ``derivatives`` shifts them by every stencil of every derivative that
-    the curvature reads and evaluates the metric at all shifted points of
-    all samples in one call of ``_induced_metric``, with z = 0 where no
-    base generator moves.
+    the curvature reads, with z = 0 where no base generator moves, and
+    evaluates the metric at the shifted points by ``_induced_metric`` on
+    slices of whole samples: at most ``_STENCIL_COLUMNS`` shifted points
+    per call, or one sample that alone has more.
     """
 
     def __init__(self, spec, C, Z):
@@ -411,9 +415,15 @@ class _Stencils:
                 block[[g[j] for g in gens], range(len(gens))] = [ms[j] * u[j] for u, ms in moves]
             steps.append(block.reshape(len(h), -1))
         steps = np.concatenate(steps, axis=1)
-        x = (self.x[:, None, :] + steps[:, :, None] * h[:, None, :]).reshape(len(h), -1)  # (n + d, moves * N)
-        F = _induced_metric(self.chart, self.spec, x[n:], self.C, x[:n])
-        F = F.reshape(F.shape[:2] + (steps.shape[1], h.shape[1]))
+        moves = steps.shape[1]
+        x = self.x[:, None, :] + steps[:, :, None] * h[:, None, :]  # (n + d, moves, N)
+        per = max(1, _STENCIL_COLUMNS // moves)  # whole points per kernel call
+        F = []
+        for i in range(0, x.shape[2], per):
+            xs = x[:, :, i : i + per].reshape(len(h), -1)
+            Fs = _induced_metric(self.chart, self.spec, xs[n:], self.C, xs[:n])
+            F.append(Fs.reshape(Fs.shape[:2] + (moves, -1)))
+        F = np.concatenate(F, axis=3) if len(F) > 1 else F[0]
         out = []
         for gens, W, units, denom, combine in families:
             weights = [math.prod(ws) for ws in product([w for _, w in W], repeat=len(units[0]))]

@@ -27,11 +27,12 @@ rule on coarser flags.
 import warnings
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 
 from .charpoly import (
     ChernPoly,
     SchurVector,
+    _over,
     gen_schur,
     schur,
     schur_decompose,
@@ -45,7 +46,6 @@ from .combinat import (
     lambda_from_sigma_tilde,
     nu_from_rho,
     perm_sign,
-    reverse,
     root_blocks,
     sigma_tilde,
 )
@@ -71,9 +71,11 @@ def pushforward_dp(F, rho):
     flags with blocks of size above one.
 
     The index sequence of every monomial is straightened to a signed
-    partition or to zero; the signed coefficients are summed per partition,
-    and ``gen_schur`` is evaluated once for each partition with a nonzero
-    sum.
+    partition or to zero, and ``gen_schur`` is evaluated once for each
+    partition whose signed coefficients do not cancel.  The sums run on
+    the integer numerators of F over its common denominator, as
+    ``gen_schur`` has integer coefficients; each coefficient of the result
+    is divided by it once.
     """
     rho = as_dimension_sequence(rho)
     r = rho.r
@@ -85,17 +87,18 @@ def pushforward_dp(F, rho):
             "formally, monomial by monomial",
             stacklevel=2,
         )
-    nu = nu_from_rho(rho)
+    reversed_nu = nu_from_rho(rho)[::-1]
+    nums, den = F._numerators()
     by_partition = {}
-    for exps, coeff in F.terms.items():
-        sign, parts = straighten(reverse(tuple(e - n for e, n in zip(exps, nu))))
+    for exps, num in zip(F.terms, nums):
+        sign, parts = straighten(tuple(map(sub, exps[::-1], reversed_nu)))
         if sign:
-            by_partition[parts] = by_partition.get(parts, 0) + sign * coeff
+            by_partition[parts] = by_partition.get(parts, 0) + sign * num
     acc = ChernPoly.zero(r)
-    for parts, coeff in by_partition.items():
-        if coeff:
-            acc = acc + gen_schur(parts, r) * coeff
-    return acc
+    for parts, num in by_partition.items():
+        if num:
+            acc = acc + gen_schur(parts, r) * num
+    return ChernPoly._wrap(r, dict(zip(acc.terms, _over(acc.terms.values(), den))))
 
 
 # -- Weyl symmetrizer ------------------------------------------------------

@@ -11,6 +11,7 @@ quotient U_{r-l+1}/U_{r-l} has first Chern class -xi_l.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .charpoly import ChernPoly
 from .combinat import as_dimension_sequence, root_blocks
@@ -118,18 +119,20 @@ def is_block_symmetric(poly, rho):
 
     A transposition maps the terms to themselves exactly when every term's
     swapped exponent carries the same coefficient, so each term is looked
-    up once per transposition and the first mismatch ends the check.
+    up once per transposition and the first mismatch ends the check.  The
+    coefficients are compared as integer numerators over one common
+    denominator.
     """
-    terms = poly.terms
+    nums, den = poly._numerators()
+    terms = poly.terms if den == 1 else dict(zip(poly.terms, nums))
     for block in root_blocks(rho):
         for a, b in zip(block, block[1:]):
             i, j = a - 1, b - 1
+            order = list(range(poly.r))
+            order[i], order[j] = j, i
+            swap = itemgetter(*order)
             for exps, coeff in terms.items():
-                if exps[i] == exps[j]:
-                    continue
-                swapped = list(exps)
-                swapped[i], swapped[j] = exps[j], exps[i]
-                if terms.get(tuple(swapped)) != coeff:
+                if exps[i] != exps[j] and terms.get(swap(exps)) != coeff:
                     return False
     return True
 

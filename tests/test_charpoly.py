@@ -1,6 +1,8 @@
+import functools
 import gc
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,9 +135,94 @@ def test_straighten_examples():
     assert straighten(()) == (1, ())
 
 
-def test_schur_basis_dimension_matches_monomials():
-    from flagforms.charpoly import _monomials_of_degree
+# -- the replaced routes, kept as oracles ------------------------------------
 
+
+def _monomials_of_degree(r, k):
+    """Exponent tuples of weighted degree k, in graded-lex order."""
+    out = []
+
+    def rec(pos, remaining, acc):
+        if pos == r:
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        w = pos + 1
+        for a in range(remaining // w, -1, -1):
+            acc.append(a)
+            rec(pos + 1, remaining - w * a, acc)
+            acc.pop()
+
+    rec(0, k, [])
+    return sorted(out)
+
+
+def _solve_exact(matrix, rhs):
+    """Gaussian elimination over Fractions; raises on singular input."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("singular transition matrix in Schur basis solve")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [row[-1] for row in aug]
+
+
+@functools.lru_cache(maxsize=None)
+def _padded_schur(parts, r):
+    """The Jacobi-Trudi determinant det(c_{sigma_i + j - i}) with the parts
+    of sigma padded by zeros to size |sigma|."""
+    k = sum(parts)
+    parts = parts + (0,) * (k - len(parts))
+    rows = [[charpoly._chern_entry(r, parts[i] + j - i) for j in range(k)] for i in range(k)]
+    return charpoly.det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
+
+
+def _dense_decompose(poly, k):
+    """Schur coordinates by a dense solve of the whole basis against the
+    monomials of degree k, over the padded determinants."""
+    r = poly.r
+    basis = list(partitions_of(k, max_part=r))
+    index = {m: i for i, m in enumerate(_monomials_of_degree(r, k))}
+    matrix = [[0] * len(basis) for _ in index]
+    for j, sigma in enumerate(basis):
+        for exps, coeff in _padded_schur(sigma.parts, r).terms.items():
+            matrix[index[exps]][j] = coeff
+    rhs = [0] * len(index)
+    for exps, coeff in poly.terms.items():
+        rhs[index[exps]] = coeff
+    return SchurVector(k, r, dict(zip(basis, _solve_exact(matrix, rhs))))
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_schur_equals_the_padded_determinant(r):
+    # every partition of weight <= 8, parts above r included: those vanish
+    for k in range(0, 9):
+        for sigma in partitions_of(k):
+            assert schur(sigma, r) == _padded_schur(sigma.parts, r), sigma.parts
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_peeling_equals_the_dense_solve(r):
+    # every basis element, and seeded rational combinations of all of them
+    rng = random.Random(r)
+    for k in range(0, 9):
+        polys = [schur(sigma, r) for sigma in partitions_of(k, max_part=r)]
+        for _ in range(3):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in polys]
+            polys.append(sum((p * a for p, a in zip(polys, coeffs)), ChernPoly.zero(r)))
+        for p in polys:
+            assert schur_decompose(p, k) == _dense_decompose(p, k), (k, p)
+
+
+def test_schur_basis_dimension_matches_monomials():
     for r in range(2, 6):
         for k in range(0, 9):
             n_partitions = sum(1 for _ in partitions_of(k, max_part=r))

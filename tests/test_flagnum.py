@@ -800,6 +800,34 @@ def test_one_kernel_call_for_all_stencils(monkeypatch):
     assert len(calls) == 6
 
 
+def test_stencil_slices_hold_whole_points_and_keep_every_bit(monkeypatch):
+    # five points of 1 496 moves each: the kernel takes them one point per
+    # call, in slices of at most _STENCIL_COLUMNS columns, or all at once,
+    # with the same bits
+    calls, kernel = [], flagnum._induced_metric
+
+    def counted(chart, spec, zeta, C=None, z=None):
+        calls.append(zeta.shape[1])
+        return kernel(chart, spec, zeta, C, z)
+
+    monkeypatch.setattr(flagnum, "_induced_metric", counted)
+    spec = UniversalBundleSpec(DimensionSequence((0, 2, 4)), 1, 2)
+    C = griffiths_sample(2, 4, terms=4, seed=0)
+    d = chart_for(spec, 2).d
+    rng = np.random.default_rng(5)
+    zeta = 0.7 * (rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5)))
+    gens = range(2 + d)
+    pairs = [(a, b) for a in gens for b in gens if max(a, b) >= 2 and not 2 <= b < a]
+    out = []
+    for columns in (1, flagnum._STENCIL_COLUMNS, 10**9):
+        monkeypatch.setattr(flagnum, "_STENCIL_COLUMNS", columns)
+        calls.clear()
+        P, S = flagnum._Stencils(spec, C, zeta).derivatives(pairs)
+        out.append((list(calls), P.tobytes(), [S[ab].tobytes() for ab in pairs]))
+    assert [calls for calls, *_ in out] == [[1496] * 5, [4 * 1496, 1496], [5 * 1496]]
+    assert out[0][1:] == out[1][1:] == out[2][1:]
+
+
 def test_audit_matches_the_solve_based_metric_route(monkeypatch):
     # the stencils through the metric kernel against the stencils through
     # the solve-based reference, on every bundle with r <= 4

@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagforms import flagnum
-from flagforms.charpoly import ChernPoly
-from flagforms.combinat import bitmask, dimension_sequences
+from flagforms.charpoly import ChernPoly, SchurVector, schur_decompose
+from flagforms.combinat import bitmask, dimension_sequences, partitions_of
 from flagforms.formlab import ExtForm, GeneratorSpace, griffiths_sample
 from flagforms.gysin import pushforward_dp
-from flagforms.rootcalc import RootPoly, UniversalBundleSpec, block_symmetrize
+from flagforms.rootcalc import RootPoly, UniversalBundleSpec, block_symmetrize, universal_chern_class
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -235,14 +235,46 @@ def test_product_is_a_commutative_ring_law(data):
     assert p * (q + s) == p * q + p * s
 
 
+FLAG_TYPES = [rho for r in (2, 3, 4) for rho in dimension_sequences(r, min_steps=2)]
+SMALL_EXPS = st.integers(0, 2)
+
+
 @DERANDOMIZED
-@given(st.sampled_from([rho for r in (2, 3, 4) for rho in dimension_sequences(r, min_steps=2)]), st.data())
+@given(st.sampled_from(FLAG_TYPES), st.data())
 def test_pushforward_is_linear(rho, data):
     r = rho.r
-    small_exps = st.integers(0, 2)
-    F, G = (block_symmetrize(data.draw(ring_polys(RootPoly, r, small_exps)), rho) for _ in range(2))
+    F, G = (block_symmetrize(data.draw(ring_polys(RootPoly, r, SMALL_EXPS)), rho) for _ in range(2))
     a, b = data.draw(RING_COEFFS), data.draw(RING_COEFFS)
     assert pushforward_dp(F * a + G * b, rho) == pushforward_dp(F, rho) * a + pushforward_dp(G, rho) * b
+
+
+@DERANDOMIZED
+@given(st.sampled_from(FLAG_TYPES), st.integers(0, 3), st.data())
+def test_pushforward_obeys_the_projection_formula(rho, p, data):
+    # c1(E) is pulled back from the base: pi_*(c1(E)^p F) = c1^p pi_*(F);
+    # block symmetrizing makes the coefficients of F fractions
+    F = block_symmetrize(data.draw(ring_polys(RootPoly, rho.r, SMALL_EXPS)), rho)
+    c1 = universal_chern_class(UniversalBundleSpec(rho, 0, rho.m), 1)
+    assert pushforward_dp(c1**p * F, rho) == ChernPoly.gen(rho.r, 1) ** p * pushforward_dp(F, rho)
+
+
+def _monomial(sigma, r):
+    """The exponents of c^sigma, the product of the c_{sigma_i}."""
+    exps = [0] * r
+    for part in sigma.parts:
+        exps[part - 1] += 1
+    return tuple(exps)
+
+
+@DERANDOMIZED
+@given(st.integers(1, 4), st.integers(0, 7), st.data())
+def test_schur_decompose_round_trips(r, k, data):
+    basis = list(partitions_of(k, max_part=r))
+    v = SchurVector(k, r, data.draw(st.dictionaries(st.sampled_from(basis), RING_COEFFS, max_size=4)))
+    assert schur_decompose(v.reconstruct(), k) == v
+    monomials = st.sampled_from([_monomial(sigma, r) for sigma in basis])
+    p = ChernPoly(r, data.draw(st.dictionaries(monomials, RING_COEFFS, max_size=5)))
+    assert schur_decompose(p, k).reconstruct() == p
 
 
 BUNDLES = [
