@@ -16,10 +16,12 @@ operand (Monagan & Pearce, "Polynomial division using dynamic arrays,
 heaps, and packed exponent vectors", CASC 2007).
 
 A Schur polynomial S_sigma is the Jacobi-Trudi determinant of size
-len(sigma).  Schur coordinates need no linear solve: the Schur basis is
-unitriangular against the monomials c^mu = prod c_{mu_i} in lexicographic
-order (Macdonald, Symmetric Functions and Hall Polynomials, I.6), so one
-sweep peels off each S_sigma at its leading monomial c^sigma.
+len(sigma).  A generalized Schur polynomial of a partition is, up to sign,
+the Schur polynomial of the conjugate partition, so it is evaluated at the
+smaller of the two sizes.  Schur coordinates need no linear solve: the
+Schur basis is unitriangular against the monomials c^mu = prod c_{mu_i} in
+lexicographic order (Macdonald, Symmetric Functions and Hall Polynomials,
+I.6), so one sweep peels off each S_sigma at its leading monomial c^sigma.
 """
 
 from fractions import Fraction
@@ -196,6 +198,8 @@ class ChernPoly:
             new = terms.get(exps, 0) + coeff
             if new == 0:
                 terms.pop(exps, None)
+            elif type(new) is Fraction and new.denominator == 1:
+                terms[exps] = new.numerator
             else:
                 terms[exps] = new
         return self._wrap(self.r, terms)
@@ -466,33 +470,47 @@ def gen_schur(sigma, r):
 
     Homogeneous of weighted degree sum(sigma); identically zero whenever
     that total is negative (every determinant term then hits a negative
-    Segre index).  The push-forward only evaluates it on partitions, after
-    ``straighten``; on other sequences it is the reference that the
-    straightening rule is tested against.
+    Segre index).  On a partition lambda it equals (-1)^{|lambda|}
+    S_{lambda'} (Macdonald, Symmetric Functions and Hall Polynomials,
+    I (3.4)-(3.5)), a determinant of size lambda_1 in the c_j, which is
+    taken from ``schur`` when lambda_1 <= len(lambda).  The push-forward
+    only evaluates partitions; on other sequences the Segre determinant is
+    the reference that the straightening rule is tested against.
     """
     sigma = tuple(int(x) for x in sigma)
     key = (sigma, r)
     cached = _GEN_SCHUR_CACHE.get(key)
     if cached is not None:
         return cached
-    k = len(sigma)
-    if k == 0:
-        result = ChernPoly.one(r)
-    elif sum(sigma) < 0:
-        result = ChernPoly.zero(r)
+    if min(sigma, default=0) >= 0 and all(a >= b for a, b in zip(sigma, sigma[1:])):
+        # trailing zero parts add unit diagonal blocks
+        lam = Partition(sigma)
+        if lam.parts and lam.parts[0] <= len(lam.parts):
+            result = schur(lam.conjugate(), r)
+            result = -result if lam.weight() & 1 else result
+        else:
+            result = _segre_determinant(lam.parts, r)
     else:
-        top = max((sigma[i] + (k - 1) - i for i in range(k)), default=0)
-        segre = segre_polys(r, max(top, 0))
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                idx = sigma[i] + j - i
-                row.append(segre[idx] if 0 <= idx <= top else None)
-            rows.append(row)
-        result = det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
+        result = _segre_determinant(sigma, r)
     _GEN_SCHUR_CACHE[key] = result
     return result
+
+
+def _segre_determinant(sigma, r):
+    """det(s_{sigma_i + j - i}) of size len(sigma), not cached: the Segre
+    side of ``gen_schur``, and the second route of the Jacobi-Trudi check."""
+    k = len(sigma)
+    if k == 0:
+        return ChernPoly.one(r)
+    if sum(sigma) < 0:
+        return ChernPoly.zero(r)
+    top = max(sigma[i] + (k - 1) - i for i in range(k))
+    segre = segre_polys(r, max(top, 0))
+    rows = [
+        [segre[sigma[i] + j - i] if sigma[i] + j - i >= 0 else None for j in range(k)]
+        for i in range(k)
+    ]
+    return det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
 
 
 def straighten(sigma):
@@ -504,13 +522,22 @@ def straighten(sigma):
     Row i of the determinant depends on sigma_i only through l_i =
     sigma_i - i, so the determinant is antisymmetric in the l_i
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3): it vanishes
-    when two l_i coincide, and otherwise sorting the l_i decreasingly gives
-    a weakly decreasing sequence whose last row is zero when its last entry
-    is negative.  Trailing zero parts add unit diagonal blocks.
+    when two l_i coincide, and otherwise ``_straighten_shifted`` sorts them.
     """
     shifted = [x - i for i, x in enumerate(sigma)]
     if len(set(shifted)) < len(shifted):
         return 0, ()
+    return _straighten_shifted(shifted)
+
+
+def _straighten_shifted(shifted):
+    """``straighten`` of the sequence with distinct shifted entries
+    l_i = sigma_i - i, given those entries.
+
+    Sorting the l_i decreasingly gives a weakly decreasing sequence whose
+    last row is zero when its last entry is negative.  Trailing zero parts
+    add unit diagonal blocks.
+    """
     # sorting decreasingly is sorting the negated values increasingly
     sign = perm_sign(-x for x in shifted)
     parts = [x + i for i, x in enumerate(sorted(shifted, reverse=True))]

@@ -5,9 +5,12 @@ Two independent routes are implemented:
 * ``pushforward_dp`` applies the determinantal rule monomial by monomial:
   the coefficient b_lambda of xi^lambda contributes
   b_lambda * gen_schur(reverse(lambda - nu)), where nu is the sequence
-  determined by the dimension sequence.  Each index sequence is first
-  straightened to +-1 times a partition, or to 0 (``charpoly.straighten``),
-  so only one determinant per distinct partition is evaluated.
+  determined by the dimension sequence.  An index sequence with two equal
+  shifted entries sigma_i - i vanishes and is dropped first; the others
+  are straightened to +-1 times a partition, or to 0, as
+  ``charpoly.straighten`` does, so only one determinant per distinct
+  partition is evaluated, and ``gen_schur`` takes the smaller of its two
+  Jacobi-Trudi determinants for it.
 
 * ``pushforward_oracle`` symmetrizes with the Weyl group: summing
   sgn(w) * w(F * Delta_within) over the sorted-block coset representatives
@@ -33,10 +36,10 @@ from .charpoly import (
     ChernPoly,
     SchurVector,
     _over,
+    _straighten_shifted,
     gen_schur,
     schur,
     schur_decompose,
-    straighten,
 )
 from .combinat import (
     Partition,
@@ -68,12 +71,14 @@ def pushforward_dp(F, rho):
     The rule is applied monomial by monomial.  Only block-symmetric input
     represents an actual class on the flag bundle; anything else is pushed
     formally (with a warning), which matters for the oracle comparison on
-    flags with blocks of size above one.
+    flags with blocks of size above one.  An ``expand_expression`` result
+    for this rho is block-symmetric by construction and is not checked.
 
-    The index sequence of every monomial is straightened to a signed
-    partition or to zero, and ``gen_schur`` is evaluated once for each
-    partition whose signed coefficients do not cancel.  The sums run on
-    the integer numerators of F over its common denominator, as
+    A monomial whose index sequence sigma has two equal shifted entries
+    sigma_i - i vanishes and is dropped first.  The others are straightened
+    to a signed partition or to zero, and ``gen_schur`` is evaluated once
+    for each partition whose signed coefficients do not cancel.  The sums
+    run on the integer numerators of F over its common denominator, as
     ``gen_schur`` has integer coefficients; each coefficient of the result
     is divided by it once.
     """
@@ -81,17 +86,22 @@ def pushforward_dp(F, rho):
     r = rho.r
     if F.r != r:
         raise ValueError(f"root polynomial rank {F.r} != rho rank {r}")
-    if rho.m < r and not is_block_symmetric(F, rho):
+    needs_check = rho.m < r and getattr(F, "_block_rho", None) != rho.rho
+    if needs_check and not is_block_symmetric(F, rho):
         warnings.warn(
             "input is not block-symmetric; the determinantal rule is applied "
             "formally, monomial by monomial",
             stacklevel=2,
         )
-    reversed_nu = nu_from_rho(rho)[::-1]
+    # sigma = reverse(exps) - reverse(nu), so l_i = exps[r-1-i] - offsets[i]
+    offsets = [x + i for i, x in enumerate(nu_from_rho(rho)[::-1])]
     nums, den = F._numerators()
     by_partition = {}
     for exps, num in zip(F.terms, nums):
-        sign, parts = straighten(tuple(map(sub, exps[::-1], reversed_nu)))
+        shifted = tuple(map(sub, exps[::-1], offsets))
+        if len(set(shifted)) < r:
+            continue
+        sign, parts = _straighten_shifted(shifted)
         if sign:
             by_partition[parts] = by_partition.get(parts, 0) + sign * num
     acc = ChernPoly.zero(r)

@@ -19,9 +19,13 @@ from .combinat import as_dimension_sequence, root_blocks
 
 class RootPoly(ChernPoly):
     """Sparse polynomial in xi_1..xi_r; exponent tuples are plain degrees
-    (no Chern weighting), coefficients exact rationals."""
+    (no Chern weighting), coefficients exact rationals.
 
-    __slots__ = ()
+    ``_block_rho`` is set only on an ``expand_expression`` result, to the
+    rho whose blocks it is symmetric in; the terms cannot change.
+    """
+
+    __slots__ = ("_block_rho",)
     _var, _exps_key = "xi", "xi_exps"
 
     @staticmethod
@@ -202,11 +206,15 @@ def expand_expression(expr, rho):
             )
         return universal_chern_class(spec, j)
 
-    return exprs.evaluate(
+    # every atom is an elementary symmetric polynomial of a whole root
+    # block, and every node of the fold builds a new polynomial
+    out = exprs.evaluate(
         expr,
         const=lambda q: RootPoly.const(r, q),
         chern=atom,
     )
+    out._block_rho = rho.rho
+    return out
 
 
 def bundles_in_expression(expr, rho):

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .charpoly import ChernPoly, gen_schur, schur, segre_polys
+from .charpoly import ChernPoly, _segre_determinant, schur, segre_polys
 from .combinat import (
     Partition,
     as_dimension_sequence,
@@ -134,7 +134,9 @@ def rank4_identity_checks():
 
 
 def jacobi_trudi_checks(max_weight=6, max_rank=4):
-    """schur(sigma) == (-1)^{|sigma|} gen_schur(sigma-tilde) exactly."""
+    """schur(sigma) == (-1)^{|sigma|} det(s_{sigma-tilde_i + j - i})
+    exactly: the Jacobi-Trudi determinant in the c_j against the one in
+    the Segre polynomials."""
     from .combinat import sigma_tilde
 
     checks = []
@@ -145,7 +147,7 @@ def jacobi_trudi_checks(max_weight=6, max_rank=4):
             for sigma in partitions_of(k, max_part=r):
                 count += 1
                 lhs = schur(sigma, r)
-                rhs = gen_schur(sigma_tilde(sigma, r), r) * ((-1) ** k)
+                rhs = _segre_determinant(sigma_tilde(sigma, r), r) * ((-1) ** k)
                 if lhs != rhs:
                     failures.append(list(sigma.parts))
         checks.append(

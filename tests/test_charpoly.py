@@ -138,6 +138,49 @@ def test_straighten_examples():
 # -- the replaced routes, kept as oracles ------------------------------------
 
 
+def reference_segre_determinant(parts, r):
+    """det(s_{lambda_i + j - i}) of size len(lambda), in the Segre
+    polynomials: the route that the smaller determinant replaced on
+    partitions."""
+    k = len(parts)
+    segre = segre_polys(r, parts[0] + k - 1) if parts else []
+    rows = [
+        [segre[parts[i] + j - i] if parts[i] + j - i >= 0 else None for j in range(k)]
+        for i in range(k)
+    ]
+    return charpoly.det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
+
+
+def test_gen_schur_equals_the_segre_determinant_at_the_smaller_size(monkeypatch):
+    # both branches: the conjugate Jacobi-Trudi determinant where
+    # lambda_1 <= len(lambda), the Segre one otherwise
+    references = {
+        (sigma.parts, r): reference_segre_determinant(sigma.parts, r)
+        for r in range(1, 8)
+        for k in range(0, 9)
+        for sigma in partitions_of(k)
+    }
+    sizes = []
+    det_poly = charpoly.det_poly
+
+    def recorded(rows, one, zero):
+        sizes.append(len(rows))
+        return det_poly(rows, one, zero)
+
+    monkeypatch.setattr(charpoly, "det_poly", recorded)
+    monkeypatch.setattr(charpoly, "_SCHUR_CACHE", {})
+    monkeypatch.setattr(charpoly, "_GEN_SCHUR_CACHE", {})
+    for (parts, r), want in references.items():
+        sizes.clear()
+        assert gen_schur(parts, r) == want, (parts, r)
+        if parts:
+            assert max(sizes, default=0) <= min(len(parts), parts[0]), (parts, r, sizes)
+    # a long first row stays a 1 x 1 Segre evaluation
+    sizes.clear()
+    assert gen_schur((30,), 8) == segre_polys(8, 30)[30]
+    assert sizes == [1]
+
+
 def _monomials_of_degree(r, k):
     """Exponent tuples of weighted degree k, in graded-lex order."""
     out = []
@@ -294,6 +337,12 @@ def test_cached_values_are_read_only():
     for p in (s + s, -s, s * 3, s * s):
         with pytest.raises(TypeError):
             p.terms[(0, 1)] = 1
+
+
+def test_sum_of_fractions_with_an_integral_value_stores_an_int():
+    c1 = c(2, 1)
+    total = (c1 * Fraction(1, 2) + c1 * Fraction(3, 2)).terms[(1, 0)]
+    assert total == 2 and type(total) is int
 
 
 def test_pow_and_arithmetic():

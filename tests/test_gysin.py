@@ -227,6 +227,31 @@ def test_dp_warns_only_on_non_block_symmetric_input():
             pushforward_dp(F, rho)
 
 
+def test_dp_checks_block_symmetry_only_of_polynomials_it_did_not_expand(monkeypatch):
+    calls = []
+    check = gysin.is_block_symmetric
+
+    def counted(F, rho):
+        calls.append(rho)
+        return check(F, rho)
+
+    monkeypatch.setattr(gysin, "is_block_symmetric", counted)
+    rho = (0, 1, 3)
+    expanded = expand_expression("c1(U1)^2*c2(E)", rho)
+    pushforward_dp(expanded, rho)
+    assert calls == []
+    # the same terms built by a caller, and an expansion pushed at another
+    # flag type of the same rank, are checked
+    built = RootPoly(3, expanded.terms)
+    assert pushforward_dp(built, rho) == pushforward_dp(expanded, rho)
+    assert len(calls) == 1
+    pushforward_dp(expand_expression("c1(E)^3*c2(E)", rho), (0, 2, 3))
+    assert len(calls) == 2
+    # arithmetic on an expansion drops the mark
+    pushforward_dp(expanded * expanded, rho)
+    assert len(calls) == 3
+
+
 # -- the replaced Weyl-oracle routines, kept as oracles ------------------------
 
 

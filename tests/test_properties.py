@@ -8,17 +8,33 @@ profile is derandomized: the examples are the same on every run.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagforms import flagnum
+from flagforms import flagnum, gysin
 from flagforms.charpoly import ChernPoly, SchurVector, schur_decompose
-from flagforms.combinat import bitmask, dimension_sequences, partitions_of
+from flagforms.combinat import (
+    bitmask,
+    complete_sequence,
+    dimension_sequences,
+    nu_from_rho,
+    partitions_of,
+    perm_sign,
+    root_blocks,
+)
 from flagforms.formlab import ExtForm, GeneratorSpace, griffiths_sample
 from flagforms.gysin import pushforward_dp
-from flagforms.rootcalc import RootPoly, UniversalBundleSpec, block_symmetrize, universal_chern_class
+from flagforms.rootcalc import (
+    RootPoly,
+    UniversalBundleSpec,
+    apply_permutation,
+    block_symmetrize,
+    universal_chern_class,
+)
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -256,6 +272,47 @@ def test_pushforward_obeys_the_projection_formula(rho, p, data):
     F = block_symmetrize(data.draw(ring_polys(RootPoly, rho.r, SMALL_EXPS)), rho)
     c1 = universal_chern_class(UniversalBundleSpec(rho, 0, rho.m), 1)
     assert pushforward_dp(c1**p * F, rho) == ChernPoly.gen(rho.r, 1) ** p * pushforward_dp(F, rho)
+
+
+def block_divided_differences(F, rho):
+    """The push from the complete flag bundle to the rho-flag bundle, up to
+    a sign: F antisymmetrized over the permutations within each root block
+    and divided, exactly, by the within-block Vandermonde."""
+    r = rho.r
+    # in increasing order the blocks list 1..r, so the images of a block
+    # permutation, concatenated, are its one-line notation
+    blocks = sorted(root_blocks(rho))
+    acc = RootPoly.zero(r)
+    for perms in product(*map(permutations, blocks)):
+        w = [image for perm in perms for image in perm]
+        acc = acc + apply_permutation(F, tuple(w)) * perm_sign(w)
+    for block in blocks:
+        for i, j in combinations(block, 2):
+            acc = gysin._divide_linear(acc, i, j)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def functoriality_sign(rho):
+    """The sign of the two-step push on xi^nu of the complete flag, whose
+    push from the complete flag bundle is 1; calibrated once per rho, as
+    the Weyl oracle calibrates its own."""
+    r = rho.r
+    reference = RootPoly(r, {nu_from_rho(complete_sequence(r)): 1})
+    pushed = pushforward_dp(block_divided_differences(reference, rho), rho)
+    assert pushed in (ChernPoly.one(r), -ChernPoly.one(r)), (rho, pushed)
+    return 1 if pushed == ChernPoly.one(r) else -1
+
+
+@DERANDOMIZED
+@given(st.sampled_from(FLAG_TYPES), st.data())
+def test_pushforward_from_the_complete_flag_factors_through_rho(rho, data):
+    # Fl(E) -> Fl_rho(E) -> base: the first push is the block divided
+    # differences, the second the determinantal rule at rho
+    r = rho.r
+    F = data.draw(ring_polys(RootPoly, r, st.integers(0, r)))
+    two_step = pushforward_dp(block_divided_differences(F, rho), rho)
+    assert pushforward_dp(F, complete_sequence(r)) == two_step * functoriality_sign(rho)
 
 
 def _monomial(sigma, r):
