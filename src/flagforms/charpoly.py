@@ -13,7 +13,11 @@ exponent tuple becomes one int with an exponent in each little-endian field
 of equal byte width, so multiplying monomials is adding ints, and the
 coefficients are integer numerators over one common denominator per
 operand (Monagan & Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", CASC 2007).
+heaps, and packed exponent vectors", CASC 2007).  The product keeps that
+packed form, with a bound on its largest exponent, and builds its terms
+only when they are read: a chain of products, such as a power or the root
+expansion of a monomial, packs once and never unpacks between steps, and
+the push-forward reads the exponents of its input from the packed keys.
 
 A Schur polynomial S_sigma is the Jacobi-Trudi determinant of size
 len(sigma).  A generalized Schur polynomial of a partition is, up to sign,
@@ -26,9 +30,11 @@ I.6), so one sweep peels off each S_sigma at its leading monomial c^sigma.
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from types import MappingProxyType
+
+import numpy as np
 
 from .combinat import Partition, partitions_of, perm_sign
 
@@ -45,6 +51,12 @@ def _pack(exps, width):
         int.from_bytes(b"".join([a.to_bytes(width, "little") for a in e]), "little")
         for e in exps
     ]
+
+
+def _field_width(top):
+    """Bytes per packed field for exponents up to ``top``: room for twice
+    ``top``, so that adding two keys never carries into the next field."""
+    return max(1, ((2 * top).bit_length() + 7) // 8)
 
 
 def _unpack(keys, r, width):
@@ -115,7 +127,16 @@ class ChernPoly:
 
     @property
     def terms(self):
-        return self._terms
+        """The read-only terms, in order.  A product holds only its packing
+        until this is first read; the terms built then are int where the
+        coefficient is integral and Fraction otherwise."""
+        terms = self._terms
+        if terms is None:
+            width, keys, nums, den, _ = self._packing
+            terms = self._terms = MappingProxyType(
+                dict(zip(_unpack(keys, self.r, width), _over(nums, den)))
+            )
+        return terms
 
     @classmethod
     def _wrap(cls, r, terms):
@@ -126,29 +147,66 @@ class ChernPoly:
         out._packing = out._numer = None
         return out
 
+    @classmethod
+    def _from_packing(cls, r, packing):
+        """An instance holding only a packing, its terms not yet built."""
+        out = cls.__new__(cls)
+        out.r = r
+        out._terms = None
+        out._packing = packing
+        out._numer = packing[2:4]
+        return out
+
     def _packed(self, width=1):
-        """(width, keys, numerators, denominator) of the terms, in order.
+        """(width, keys, numerators, denominator, top) of the terms, in order.
 
         The coefficients are integer numerators over one common denominator.
         The keys pack the exponents in fields of ``width`` or more bytes,
-        wide enough for twice the largest exponent, so that adding two keys
-        never carries from one field into the next.  The narrowest such
-        packing is cached: the terms cannot change.
+        wide enough for twice ``top``, an upper bound on the largest
+        exponent, so that adding two keys never carries from one field into
+        the next.  The narrowest such packing is cached: the terms cannot
+        change.  A product's packing holds its keys in the width of its
+        operands and the sum of their bounds; it is repacked only when that
+        sum needs a wider field.
         """
         packing = self._packing
         if packing is None:
             terms = self._terms
             top = max(chain.from_iterable(terms), default=0)
-            natural = max(1, ((2 * top).bit_length() + 7) // 8)
-            packing = self._packing = (natural, _pack(terms, natural)) + self._numerators()
+            natural = _field_width(top)
+            packing = self._packing = (natural, _pack(terms, natural)) + self._numerators() + (top,)
+        elif packing[0] < _field_width(packing[4]):
+            packing = self._packing = self._repacked(packing, _field_width(packing[4]))
         if width > packing[0]:
-            return (width, _pack(self._terms, width)) + packing[2:]
+            return self._repacked(packing, width)
         return packing
+
+    def _repacked(self, packing, width):
+        """The packing with its keys in fields of ``width`` bytes."""
+        old, keys = packing[:2]
+        exps = self._terms if self._terms is not None else _unpack(keys, self.r, old)
+        return (width, _pack(exps, width)) + packing[2:]
+
+    def _exponent_matrix(self):
+        """(exps, numerators, denominator): the exponents as a (terms x r)
+        int64 array, read from the packed keys in one buffer without
+        building the terms, and the coefficients as ``_numerators`` gives
+        them, in term order.  The fields are read at a numpy width of 1, 2,
+        4 or 8 bytes; one of w bytes holds twice the largest exponent, so
+        the exponents fit int64."""
+        width = 1 << (self._packed()[0] - 1).bit_length()
+        width, keys, nums, den, _ = self._packed(width)
+        size = self.r * width
+        exps = np.frombuffer(
+            b"".join([k.to_bytes(size, "little") for k in keys]), dtype=f"<u{width}"
+        )
+        return exps.reshape(len(keys), self.r).astype(np.int64), nums, den
 
     def _numerators(self):
         """(numerators, denominator): the coefficients as integer numerators
-        over their least common denominator, in term order.  Cached apart
-        from the packing, so that a caller that needs no keys packs none."""
+        over their least common denominator, in term order.  A product reads
+        them from its packing; otherwise they are cached apart from the
+        packing, so that a caller that needs no keys packs none."""
         numer = self._numer
         if numer is None:
             coeffs = self._terms.values()
@@ -193,8 +251,8 @@ class ChernPoly:
                 return NotImplemented
             other = self.const(self.r, other)
         self._check_rank(other)
-        terms = self._terms.copy()
-        for exps, coeff in other._terms.items():
+        terms = self.terms.copy()
+        for exps, coeff in other.terms.items():
             new = terms.get(exps, 0) + coeff
             if new == 0:
                 terms.pop(exps, None)
@@ -207,7 +265,7 @@ class ChernPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(self.r, {e: -c for e, c in self._terms.items()})
+        return self._wrap(self.r, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -226,15 +284,15 @@ class ChernPoly:
             if other == 0:
                 return type(self)(self.r, {})
             return self._wrap(
-                self.r, {e: _norm_coeff(c * other) for e, c in self._terms.items()}
+                self.r, {e: _norm_coeff(c * other) for e, c in self.terms.items()}
             )
         self._check_rank(other)
-        a = self._packing or self._packed()
-        b = other._packing or other._packed()
+        a = self._packed()
+        b = other._packed()
         if a[0] != b[0]:
             a, b = self._packed(b[0]), other._packed(a[0])
-        width, keys1, nums1, den1 = a
-        _, keys2, nums2, den2 = b
+        width, keys1, nums1, den1, top1 = a
+        _, keys2, nums2, den2, top2 = b
         acc = {}
         get = acc.get
         for k1, n1 in zip(keys1, nums1):
@@ -247,8 +305,11 @@ class ChernPoly:
                     acc[k] = new
                 else:
                     del acc[k]
-        coeffs = _over(acc.values(), den1 * den2)
-        return self._wrap(self.r, dict(zip(_unpack(acc, self.r, width), coeffs)))
+        nums, den = acc.values(), den1 * den2
+        if den != 1:
+            common = gcd(den, *nums)
+            nums, den = [n // common for n in nums], den // common
+        return self._from_packing(self.r, (width, acc.keys(), nums, den, top1 + top2))
 
     __rmul__ = __mul__
 
@@ -276,7 +337,7 @@ class ChernPoly:
         return hash((self.r, frozenset(self.terms.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not (self._packing[1] if self._terms is None else self._terms)
 
     def evaluate(self, images, const):
         """The polynomial with each c_j replaced by ``images[j]`` (j >= 1;

@@ -5,7 +5,8 @@ Two independent routes are implemented:
 * ``pushforward_dp`` applies the determinantal rule monomial by monomial:
   the coefficient b_lambda of xi^lambda contributes
   b_lambda * gen_schur(reverse(lambda - nu)), where nu is the sequence
-  determined by the dimension sequence.  An index sequence with two equal
+  determined by the dimension sequence.  The exponents lambda are read
+  from the packed keys of the input.  An index sequence with two equal
   shifted entries sigma_i - i vanishes and is dropped first; the others
   are straightened to +-1 times a partition, or to 0, as
   ``charpoly.straighten`` does, so only one determinant per distinct
@@ -29,8 +30,10 @@ rule on coarser flags.
 
 import warnings
 from functools import lru_cache, reduce
-from itertools import combinations
-from operator import mul, sub
+from itertools import combinations, compress
+from operator import mul
+
+import numpy as np
 
 from .charpoly import (
     ChernPoly,
@@ -74,8 +77,11 @@ def pushforward_dp(F, rho):
     flags with blocks of size above one.  An ``expand_expression`` result
     for this rho is block-symmetric by construction and is not checked.
 
-    A monomial whose index sequence sigma has two equal shifted entries
-    sigma_i - i vanishes and is dropped first.  The others are straightened
+    The exponents are read from F's packed keys as one (terms x r) integer
+    matrix, so a product that is only pushed never builds its terms.  A
+    monomial whose index sequence sigma has two equal shifted entries
+    sigma_i - i vanishes and is dropped first, by comparing the columns of
+    shifted entries pairwise.  The others are straightened
     to a signed partition or to zero, and ``gen_schur`` is evaluated once
     for each partition whose signed coefficients do not cancel.  The sums
     run on the integer numerators of F over its common denominator, as
@@ -93,15 +99,16 @@ def pushforward_dp(F, rho):
             "formally, monomial by monomial",
             stacklevel=2,
         )
+    exps, nums, den = F._exponent_matrix()
     # sigma = reverse(exps) - reverse(nu), so l_i = exps[r-1-i] - offsets[i]
     offsets = [x + i for i, x in enumerate(nu_from_rho(rho)[::-1])]
-    nums, den = F._numerators()
+    shifted = exps[:, ::-1] - offsets
+    distinct = np.ones(len(exps), dtype=bool)
+    for i, j in combinations(range(r), 2):
+        distinct &= shifted[:, i] != shifted[:, j]
     by_partition = {}
-    for exps, num in zip(F.terms, nums):
-        shifted = tuple(map(sub, exps[::-1], offsets))
-        if len(set(shifted)) < r:
-            continue
-        sign, parts = _straighten_shifted(shifted)
+    for row, num in zip(shifted[distinct].tolist(), compress(nums, distinct.tolist())):
+        sign, parts = _straighten_shifted(row)
         if sign:
             by_partition[parts] = by_partition.get(parts, 0) + sign * num
     acc = ChernPoly.zero(r)

@@ -2,10 +2,14 @@ import functools
 import gc
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_properties import DERANDOMIZED
 
 from flagforms import charpoly
 from flagforms.charpoly import (
@@ -376,3 +380,118 @@ def test_determinant_leaves_no_reference_cycle(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def reference_product(p, q):
+    """The terms dict of p * q as ``ChernPoly.__mul__`` built it for every
+    product before products kept their packing: both operands packed from
+    their terms, in the wider of the two fields that hold twice their
+    largest exponents, the numerators multiplied over the product of the
+    common denominators, and the keys unpacked at once.  A sum that cancels
+    drops its key, so a later term of that monomial goes to the end."""
+
+    def packing(poly, width):
+        den = math.lcm(*(Fraction(v).denominator for v in poly.terms.values()))
+        nums = [int(v * den) for v in poly.terms.values()]
+        return charpoly._pack(poly.terms, width), nums, den
+
+    top = max(itertools.chain.from_iterable(itertools.chain(p.terms, q.terms)), default=0)
+    width = max(1, ((2 * top).bit_length() + 7) // 8)
+    keys1, nums1, den1 = packing(p, width)
+    keys2, nums2, den2 = packing(q, width)
+    acc = {}
+    for k1, n1 in zip(keys1, nums1):
+        for k2, n2 in zip(keys2, nums2):
+            k = k1 + k2
+            new = acc.get(k, 0) + n1 * n2
+            if new:
+                acc[k] = new
+            else:
+                del acc[k]
+    coeffs = charpoly._over(acc.values(), den1 * den2)
+    return dict(zip(charpoly._unpack(acc, p.r, width), coeffs))
+
+
+def assert_same_terms(poly, terms):
+    assert list(poly.terms.items()) == list(terms.items())
+    assert [type(v) for v in poly.terms.values()] == [type(v) for v in terms.values()]
+
+
+def assert_least_common_denominator(poly):
+    nums, den = poly._numerators()
+    assert den == math.lcm(*(Fraction(v).denominator for v in poly.terms.values()))
+    assert list(nums) == [int(v * den) for v in poly.terms.values()]
+
+
+@st.composite
+def chern_polys(draw, r, top):
+    """A polynomial of rank r with up to four terms, exponents <= top, and
+    int or Fraction coefficients, some of them cancelling in products."""
+    exps = st.tuples(*[st.integers(0, top)] * r)
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    )
+    return ChernPoly(r, draw(st.dictionaries(exps, coeff, max_size=4)))
+
+
+@st.composite
+def product_chains(draw):
+    """Rank and three factors: small exponents, so that monomials collide and
+    cancel, or exponents up to 100, so that a chain crosses the one-byte
+    field at 127 -> 128 and wraps without a repack."""
+    r = draw(st.sampled_from([1, 2, 3, 9]))
+    top = draw(st.sampled_from([2, 100]))
+    return r, [draw(chern_polys(r, top)) for _ in range(3)]
+
+
+@DERANDOMIZED
+@given(product_chains())
+def test_products_equal_the_dict_building_product(chain):
+    r, (p, q, s) = chain
+    pq = p * q
+    pqs = pq * s
+    # the intermediate product was multiplied without building its terms
+    assert pq._terms is None and pqs._terms is None
+    assert_least_common_denominator(pqs)
+    expected_pq = reference_product(p, q)
+    assert_same_terms(pqs, reference_product(ChernPoly._wrap(r, expected_pq), s))
+    assert_same_terms(pq, expected_pq)
+    assert_least_common_denominator(pq)
+
+
+@pytest.mark.parametrize(
+    "r, factors",
+    [
+        # a monomial cancels at its second term and comes back at its third
+        (2, [{(2, 0): 1, (1, 1): 1, (0, 2): 1}, {(0, 2): 1, (1, 1): -1, (2, 0): 1}]),
+        # Fraction coefficients whose product has integral coefficients only
+        (2, [{(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)}, {(0, 1): 2, (1, 0): 4}]),
+        (2, [{(1, 0): Fraction(1, 6)}, {(0, 1): Fraction(3, 4), (1, 1): 6}]),
+        # one-byte fields crossing 127 -> 128, then past 255 in a chain
+        (2, [{(127, 0): 1, (0, 1): 1}, {(1, 0): 1}, {(127, 3): -1}]),
+        (2, [{(100, 0): 1, (0, 1): 1}, {(100, 0): 1}, {(100, 0): 1}, {(100, 0): 1}]),
+        (1, [{(64,): 1}] * 6),
+        # keys above 64 bits
+        (9, [{(1,) * 9: 1, (0,) * 8 + (2,): Fraction(1, 3)}] * 3),
+        (9, [{(120,) * 9: 2}, {(8,) * 9: Fraction(1, 2)}, {(130,) * 9: 1}]),
+    ],
+)
+def test_product_chains_equal_the_dict_building_product(r, factors):
+    polys = [ChernPoly(r, f) for f in factors]
+    product = expected = polys[0]
+    for poly in polys[1:]:
+        product = product * poly
+        expected = ChernPoly._wrap(r, reference_product(expected, poly))
+    assert product._terms is None
+    assert_least_common_denominator(product)
+    assert_same_terms(product, expected.terms)
+
+
+def test_power_across_the_one_byte_field_equals_repeated_products():
+    # the squares of a power double their exponent bound up to 128
+    base = c(2, 1) - Fraction(1, 2) * c(2, 2)
+    expected = ChernPoly.one(2)
+    for _ in range(130):
+        expected = ChernPoly._wrap(2, reference_product(expected, base))
+    assert base**130 == expected

@@ -343,6 +343,14 @@ GOLDEN_JSON = [
         ],
         "698746c0ee4955a36f3b90c519f7cc2f13bcf8b3daddc2bfcc51dca306d5f98c",
     ),
+    (
+        ["verify", "--suite", "identities"],
+        "cf034cc8a019deb63b82cab80fc49a4e5199ebfd8f5af20b9afb45b4ceac6b6c",
+    ),
+    (
+        ["verify", "--suite", "oracle"],
+        "9b3b0de4895e47e0ee52f0e35053eb535d2e4bfd3bd68feb1ac05828efae1639",
+    ),
 ]
 
 

@@ -1,12 +1,19 @@
 import warnings
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import sub
 
 import pytest
 
 from flagforms import gysin
-from flagforms.charpoly import ChernPoly, schur, segre_polys
-from flagforms.combinat import complete_sequence, dimension_sequences, relative_dimension
+from flagforms.charpoly import ChernPoly, _over, _straighten_shifted, gen_schur, schur, segre_polys
+from flagforms.combinat import (
+    as_dimension_sequence,
+    complete_sequence,
+    dimension_sequences,
+    nu_from_rho,
+    relative_dimension,
+)
 from flagforms.gysin import (
     epsilon_for_rank,
     grassmann_c1c2_pushforward,
@@ -250,6 +257,99 @@ def test_dp_checks_block_symmetry_only_of_polynomials_it_did_not_expand(monkeypa
     # arithmetic on an expansion drops the mark
     pushforward_dp(expanded * expanded, rho)
     assert len(calls) == 3
+
+
+def tuple_loop_push(F, rho):
+    """``pushforward_dp`` as it read its input: one exponent tuple of
+    ``F.terms`` at a time, its shifted entries tested for a repeat in a set."""
+    rho = as_dimension_sequence(rho)
+    r = rho.r
+    offsets = [x + i for i, x in enumerate(nu_from_rho(rho)[::-1])]
+    nums, den = F._numerators()
+    by_partition = {}
+    for exps, num in zip(F.terms, nums):
+        shifted = tuple(map(sub, exps[::-1], offsets))
+        if len(set(shifted)) < r:
+            continue
+        sign, parts = _straighten_shifted(shifted)
+        if sign:
+            by_partition[parts] = by_partition.get(parts, 0) + sign * num
+    acc = ChernPoly.zero(r)
+    for parts, num in by_partition.items():
+        if num:
+            acc = acc + gen_schur(parts, r) * num
+    return ChernPoly._wrap(r, dict(zip(acc.terms, _over(acc.terms.values(), den))))
+
+
+def vanishing_monomial(rho, big):
+    """A monomial with exponents near ``big`` whose shifted entries l_0 and
+    l_1 are equal, so that its push vanishes."""
+    rho = as_dimension_sequence(rho)
+    r = rho.r
+    offsets = [x + i for i, x in enumerate(nu_from_rho(rho)[::-1])]
+    exps = [0] * r
+    exps[r - 1], exps[r - 2] = big + offsets[0], big + offsets[1]
+    return mono(r, exps)
+
+
+PACKED_PUSH_CASES = [
+    # r <= 8, one-byte fields
+    ((0, 1, 4), "c1(Q1)^3*c2(Q1)^2"),
+    ((0, 1, 2, 4), "2/3*c1(U2/U1)^3*c1(U1)^2*c2(E) - 5/4*c1(U1)^4*c2(U3/U2)*c1(E)"),
+    ((0, 2, 5), "7/3*c1(Q2)^5*c2(Q2)^2*c3(Q2)"),
+    ((0, 2, 5, 7), "3/2*c1(U2/U1)^10*c2(U1)^5*c1(E)^2"),
+    ((0, 2, 5, 8), "c1(U2/U1)^6*c2(U1)^4*c1(E)^3"),
+    # a power that crosses 127 -> 128 and is pushed from two-byte fields
+    ((0, 1, 2), "c1(Q1)^127*c1(E)^2"),
+    ((0, 1, 2), "c1(Q1)^129 - 1/2*c2(E)^64*c1(E)"),
+    # r = 9: keys above 64 bits
+    ((0, 8, 9), "c1(Q8)^10 + 5*c2(E)*c1(Q8)^8 - c1(U1)*c1(Q8)^9"),
+    ((0, 1, 9), "c1(U1)^2*c1(Q1)^7"),
+]
+
+
+@pytest.mark.parametrize("rho, text", PACKED_PUSH_CASES)
+def test_push_from_packed_exponents_equals_the_tuple_loop(monkeypatch, rho, text):
+    straightened = []
+
+    def recorded(shifted):
+        straightened.append(tuple(shifted))
+        return _straighten_shifted(shifted)
+
+    monkeypatch.setattr(gysin, "_straighten_shifted", recorded)
+    F = expand_expression(text, rho)
+    pushed = pushforward_dp(F, rho)
+    # only the sequences with distinct shifted entries are straightened
+    offsets = [x + i for i, x in enumerate(nu_from_rho(rho)[::-1])]
+    rows = [tuple(map(sub, exps[::-1], offsets)) for exps in F.terms]
+    assert straightened == [row for row in rows if len(set(row)) == len(row)]
+    expected = tuple_loop_push(F, rho)
+    assert list(pushed.terms.items()) == list(expected.terms.items())
+    assert [type(v) for v in pushed.terms.values()] == [type(v) for v in expected.terms.values()]
+
+
+@pytest.mark.parametrize("r", [2, 9])
+def test_push_of_two_byte_fields_equals_the_tuple_loop(r):
+    # caller-built input over the complete flag: monomials far out in
+    # two-byte fields, which vanish, beside the reference monomial xi^nu,
+    # whose push is 1, and at r = 2 a monomial whose push does not vanish
+    rho = complete_sequence(r)
+    F = RootPoly(r, {tuple(nu_from_rho(rho)): 3})
+    for big in (128, 255, 300):
+        F = F + vanishing_monomial(rho, big)
+    if r == 2:
+        F = F + mono(2, (130, 1)) * Fraction(-2, 3)
+    pushed, expected = pushforward_dp(F, rho), tuple_loop_push(F, rho)
+    assert list(pushed.terms.items()) == list(expected.terms.items())
+    assert not pushed.is_zero()
+
+
+def test_push_of_an_expansion_leaves_its_terms_unbuilt():
+    rho = (0, 2, 5, 7)
+    F = expand_expression("c1(U2/U1)^10*c2(U1)^5*c1(E)^2", rho)
+    pushed = pushforward_dp(F, rho)
+    assert F._terms is None
+    assert pushed == tuple_loop_push(F, rho)
 
 
 # -- the replaced Weyl-oracle routines, kept as oracles ------------------------

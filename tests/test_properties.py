@@ -1,6 +1,6 @@
 """Property tests of the exterior algebra, of the exact polynomial ring and
-its push-forward, of ChernPoly evaluation and of the batched exact
-curvature.
+its push-forward, of ChernPoly evaluation, of the batched exact curvature
+and of the expression parser.
 
 Form coefficients are small Gaussian integers, so every product and sum is
 exact in floating point and the laws can be checked with equality.  The
@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagforms import flagnum, gysin
+from flagforms import exprs, flagnum, gysin
 from flagforms.charpoly import ChernPoly, SchurVector, schur_decompose
 from flagforms.combinat import (
     bitmask,
@@ -358,3 +358,45 @@ def test_exact_curvature_of_a_batch_is_that_of_each_point(spec, n, count, data):
         for key in point[0]:
             assert np.array_equal(batch[0][key][..., i], point[0][key]), key
         assert np.array_equal(batch[1][..., i], point[1])
+
+
+# -- the expression parser -----------------------------------------------------
+
+nats = st.integers(0, 12)
+bundle_refs = st.one_of(
+    st.just(exprs.BundleRef("E")),
+    st.builds(exprs.BundleRef, st.just("U"), nats),
+    st.builds(exprs.BundleRef, st.just("UQ"), nats, nats),
+    st.builds(exprs.BundleRef, st.just("Q"), nats),
+)
+
+
+@st.composite
+def expressions(draw, depth=3):
+    """An expression tree of the shapes that the parser builds: a sum of two
+    or three items whose first is added, a product of two or three factors
+    none of which is a product, and a power of anything but a power."""
+    kind = draw(st.integers(0, 4 if depth else 1))
+    if kind == 0:
+        return exprs.Lit(Fraction(draw(st.integers(0, 50)), draw(st.integers(1, 12))))
+    if kind == 1:
+        return exprs.ChernSym(draw(nats), draw(bundle_refs))
+    count = draw(st.integers(2, 3)) if kind < 4 else 1
+    children = [draw(expressions(depth - 1)) for _ in range(count)]
+    if kind == 2:
+        signs = [1] + [draw(st.sampled_from([1, -1])) for _ in children[1:]]
+        return exprs.Sum(tuple(zip(signs, children)))
+    if kind == 3:
+        return exprs.Product(
+            tuple(exprs.Power(c, 1) if isinstance(c, exprs.Product) else c for c in children)
+        )
+    (base,) = children
+    return exprs.Power(base.base if isinstance(base, exprs.Power) else base, draw(nats))
+
+
+@DERANDOMIZED
+@given(expressions())
+def test_parse_inverts_to_text(node):
+    text = exprs.to_text(node)
+    assert exprs.parse(text) == node
+    assert exprs.to_text(exprs.parse(text)) == text
