@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .combinat import Partition, partitions_of, perm_sign
+from .combinat import Partition, laplace_minors, partitions_of, perm_sign
 
 _denominator = attrgetter("denominator")
 
@@ -427,39 +427,11 @@ class ChernPoly:
 
 
 def det_poly(rows, one, zero):
-    """Determinant of a square matrix with commuting ring entries.
-
-    Expansion along the first remaining row with memoized minors keyed on
-    column subsets; fine for the sizes used here (k <= 8 or so).
-    """
-    if not rows:
-        return one
-    return _minor(rows, {}, one, zero, 0, (1 << len(rows)) - 1)
-
-
-# the minor on rows row.. and columns cols; not a closure of det_poly: a recursive
-# closure is a reference cycle, which keeps the memo until a cyclic collection
-def _minor(rows, memo, one, zero, row, cols):
-    if cols == 0:
-        return one
-    cached = memo.get(cols)
-    if cached is not None:
-        return cached
-    total = zero
-    sign = 1
-    for j in range(len(rows)):
-        bit = 1 << j
-        if not cols & bit:
-            continue
-        entry = rows[row][j]
-        if entry is not None and not entry.is_zero():
-            sub = _minor(rows, memo, one, zero, row + 1, cols & ~bit)
-            if not sub.is_zero():
-                term = entry * sub
-                total = total + term if sign > 0 else total - term
-        sign = -sign
-    memo[cols] = total
-    return total
+    """Determinant of a square matrix with commuting ring entries, None
+    for a zero entry: the full minor of ``combinat.laplace_minors``, the
+    expansion that also gives the Chern forms and frame minors of
+    ``formlab``."""
+    return laplace_minors(rows, len(rows), one, zero).get((1 << len(rows)) - 1, zero)
 
 
 _SEGRE_CACHE = {}

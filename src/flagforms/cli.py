@@ -19,7 +19,7 @@ from .flagnum import ChartPoint, FlagChart, curvature_at, curvature_center
 from .formlab import CurvatureTensor
 from .gysin import convention_report, pushforward_dp
 from .rootcalc import UniversalBundleSpec, expand_expression
-from .verify import MAX_SEED, SUITES, run_suite
+from .verify import MAX_SEED, SUITES, rank4_identity_checks, run_suite
 
 
 def _parse_rho(text):
@@ -262,8 +262,6 @@ def cmd_verify(args):
 
 
 def cmd_examples_paper(args):
-    from .verify import rank4_identity_checks
-
     return _checks_report(rank4_identity_checks(), args.json)
 
 

@@ -1,5 +1,6 @@
-"""Partitions, dimension sequences, and the index recipes feeding the
-push-forward and curvature machinery.
+"""Partitions, dimension sequences, the index recipes feeding the
+push-forward and curvature machinery, and the Laplace-minor determinant
+shared by the Schur polynomials, the Chern forms and the frame minors.
 
 Everything here is pure and operates on immutable values, so the functions
 are safe to call from any number of concurrent workers.
@@ -225,6 +226,38 @@ def mask_indices(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def laplace_minors(rows, ncols, one, zero):
+    """The minors of a k-row matrix with commuting entries, by Laplace
+    expansion along the rows, keyed by column bitmask.
+
+    The minor on ``cols`` is the determinant of the last popcount(cols)
+    rows on those columns.  Masks are filled in increasing order, so a
+    mask's sub-masks are ready before it.  An entry that is None is zero
+    and skipped, and a minor with no entries to expand is left out.  An
+    entry whose sub-minor is ``one`` is taken as it is, not multiplied by
+    it, and a cofactor sign negates the entry, not the product, so
+    per-sample arrays are not copied by a product with 1 or by a negation
+    of a whole minor.
+    """
+    k = len(rows)
+    minors = {0: one}
+    for cols in range(1, 1 << ncols):
+        row = k - cols.bit_count()
+        if row < 0:
+            continue
+        total = None
+        for pos, j in enumerate(mask_indices(cols)):
+            entry = rows[row][j]
+            sub = minors.get(cols & ~(1 << j))
+            if entry is None or sub is None:
+                continue
+            entry = -entry if pos & 1 else entry
+            total = (zero if total is None else total) + (entry if sub is one else entry * sub)
+        if total is not None:
+            minors[cols] = total
+    return minors
 
 
 def root_blocks(rho):

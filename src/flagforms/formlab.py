@@ -15,8 +15,9 @@ products, FormMatrix assembly, Chern forms -- is the same code for both;
 the diagnostics (norm, equality, repr) and positivity evaluation need
 number coefficients.
 
-Determinants come from one routine, ``_laplace_minors``: Laplace expansion
-along the rows with the minors memoized by column subset.  Chern forms
+Determinants come from ``combinat.laplace_minors``, the Laplace expansion
+along the rows with the minors memoized by column subset that also gives
+the exact layer its Jacobi-Trudi determinants.  Chern forms
 take the (s, s) pieces of the wedge determinant det(1 + (i/2 pi) M), and
 positivity sampling takes the k x k minors of batched k-frames from it.
 
@@ -25,11 +26,12 @@ inputs (curvature tensors) are numeric.  Tolerances are module constants.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
 
-from .combinat import bitmask, mask_indices
+from .combinat import bitmask, laplace_minors, mask_indices
 
 #: tolerance for Hermitian-symmetry validation of curvature tensors
 HERMITIAN_TOL = 1e-10
@@ -266,6 +268,23 @@ def wedge(a, b):
     return a.wedge(b)
 
 
+def _json_index(obj, key, top=None):
+    """obj[key] of a tensor document: an integer in 1..top, or any
+    positive integer when top is None."""
+    value = obj[key]
+    if type(value) is not int or not 1 <= value <= (top or value):
+        within = f"in 1..{top}" if top else ">= 1"
+        raise ValueError(f"tensor field {key!r} must be an integer {within}, got {value!r}")
+    return value
+
+
+def _json_real(value, key):
+    """The value of field ``key`` of a tensor entry: a finite real number."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"tensor field {key!r} must be a finite real number, got {value!r}")
+    return value
+
+
 class CurvatureTensor:
     """Coefficients c[j,k,alpha,beta] of a curvature tensor at a point,
     with the Hermitian symmetry conj(c[j,k,a,b]) = c[k,j,b,a]."""
@@ -323,14 +342,21 @@ class CurvatureTensor:
     def from_json(cls, data):
         """Load coefficients, applying Hermitian completion: an entry
         (j,k,a,b) also sets its partner (k,j,b,a) to the conjugate, and
-        inconsistent duplicates are rejected by the constructor check."""
-        n, r = int(data["n"]), int(data["r"])
+        inconsistent duplicates are rejected by the constructor check.
+
+        A document that is not an object with a list of entry objects, an
+        index that is not an integer in 1..n (j, k) or 1..r (alpha, beta),
+        or a value that is not a finite real number raises ValueError."""
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("a curvature tensor must be a JSON object with a list of entry objects")
+        n, r = _json_index(data, "n"), _json_index(data, "r")
         coeffs = np.zeros((n, n, r, r), dtype=complex)
         given = np.zeros((n, n, r, r), dtype=bool)
-        for e in data["entries"]:
-            j, k = e["j"] - 1, e["k"] - 1
-            a, b = e["alpha"] - 1, e["beta"] - 1
-            v = complex(e["re"], e.get("im", 0.0))
+        for e in entries:
+            j, k = _json_index(e, "j", n) - 1, _json_index(e, "k", n) - 1
+            a, b = _json_index(e, "alpha", r) - 1, _json_index(e, "beta", r) - 1
+            v = complex(_json_real(e["re"], "re"), _json_real(e.get("im", 0.0), "im"))
             if given[j, k, a, b] and coeffs[j, k, a, b] != v:
                 raise ValueError(f"conflicting duplicate entry at {(j, k, a, b)}")
             coeffs[j, k, a, b] = v
@@ -452,37 +478,10 @@ def base_curvature_matrix(C, space=None):
     )
 
 
-def _laplace_minors(rows, ncols, one, zero):
-    """The minors of a k-row matrix with commuting entries, by Laplace
-    expansion along the rows, keyed by column bitmask.
-
-    The minor on ``cols`` is the determinant of the last popcount(cols)
-    rows on those columns.  Masks are filled in increasing order, so a
-    mask's sub-masks are ready before it.  An entry whose sub-minor is
-    ``one`` is taken as it is, not multiplied by it, and a cofactor sign
-    negates the entry, not the product, so per-sample arrays are not
-    copied by a product with 1 or by a negation of a whole minor.
-    """
-    k = len(rows)
-    minors = {0: one}
-    for cols in range(1, 1 << ncols):
-        row = k - cols.bit_count()
-        if row < 0:
-            continue
-        total = zero
-        for pos, j in enumerate(mask_indices(cols)):
-            entry = -rows[row][j] if pos & 1 else rows[row][j]
-            sub = minors[cols & ~(1 << j)]
-            total = total + (entry if sub is one else entry * sub)
-        minors[cols] = total
-    return minors
-
-
 def wedge_det(entries, one, zero):
     """Determinant of a small matrix of commuting even-degree elements,
     generic in the algebra: 2^k memoized minors, not k! products."""
-    k = len(entries)
-    return _laplace_minors(entries, k, one, zero)[(1 << k) - 1]
+    return laplace_minors(entries, len(entries), one, zero)[(1 << len(entries)) - 1]
 
 
 def chern_forms(M):
@@ -582,7 +581,7 @@ def _evaluate_on_frame(gamma, frames):
     the samples on the last axis.
     """
     V = np.ascontiguousarray(frames.transpose(1, 2, 0))  # (k, n, N)
-    minors = _laplace_minors(V, V.shape[1], 1.0, 0.0)
+    minors = laplace_minors(V, V.shape[1], 1.0, 0.0)
     vals = np.zeros(V.shape[2], dtype=complex)
     for (s, t), coeff in gamma.terms.items():
         vals += coeff * minors[s] * np.conj(minors[t])

@@ -51,6 +51,7 @@ from .combinat import (
     dimension_sequences,
     lambda_from_sigma_tilde,
     nu_from_rho,
+    partitions_of,
     perm_sign,
     root_blocks,
     sigma_tilde,
@@ -352,8 +353,6 @@ def schur_via_flag(sigma, r):
 def epsilon_for_rank(r, max_weight=4):
     """Measure the global sign epsilon(r) over all partitions of weight up
     to ``max_weight`` with parts <= r, asserting it is constant."""
-    from .combinat import partitions_of
-
     epsilon = None
     for k in range(0, max_weight + 1):
         for sigma in partitions_of(k, max_part=r):

@@ -10,9 +10,10 @@ quotient U_{r-l+1}/U_{r-l} has first Chern class -xi_l.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 
+from . import exprs
 from .charpoly import ChernPoly
 from .combinat import as_dimension_sequence, root_blocks
 
@@ -144,24 +145,12 @@ def is_block_symmetric(poly, rho):
 def block_symmetrize(poly, rho):
     """Average of the polynomial over the within-block permutation group."""
     rho = as_dimension_sequence(rho)
-    blocks = root_blocks(rho)
-    r = rho.r
-    acc = RootPoly.zero(r)
+    acc = RootPoly.zero(rho.r)
     count = 0
-    perms_per_block = [list(permutations(b)) for b in blocks]
-
-    def rec(i, w):
-        nonlocal acc, count
-        if i == len(blocks):
-            acc = acc + apply_permutation(poly, tuple(w))
-            count += 1
-            return
-        for perm in perms_per_block[i]:
-            for pos, val in zip(blocks[i], perm):
-                w[pos - 1] = val
-            rec(i + 1, w)
-
-    rec(0, list(range(1, r + 1)))
+    for w in product(*(permutations(b) for b in root_blocks(rho))):
+        # the blocks run from the last roots to the first
+        acc = acc + apply_permutation(poly, tuple(chain.from_iterable(reversed(w))))
+        count += 1
     return acc * Fraction(1, count)
 
 
@@ -191,8 +180,6 @@ def _resolve_bundle(ref, rho):
 def expand_expression(expr, rho):
     """Expand a polynomial expression in Chern classes of universal bundles
     into a RootPoly; ring homomorphism on expressions."""
-    from . import exprs
-
     if isinstance(expr, str):
         expr = exprs.parse(expr)
     rho = as_dimension_sequence(rho)
@@ -219,8 +206,6 @@ def expand_expression(expr, rho):
 
 def bundles_in_expression(expr, rho):
     """The distinct UniversalBundleSpecs referenced by an expression."""
-    from . import exprs
-
     if isinstance(expr, str):
         expr = exprs.parse(expr)
     rho = as_dimension_sequence(rho)

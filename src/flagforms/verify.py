@@ -17,6 +17,7 @@ from .combinat import (
     dimension_sequences,
     partitions_of,
     relative_dimension,
+    sigma_tilde,
 )
 from .conegeom import builtin_families, cone_membership_2d, in_schur_cone, ray_hull_2d
 from .flagnum import (
@@ -137,8 +138,6 @@ def jacobi_trudi_checks(max_weight=6, max_rank=4):
     """schur(sigma) == (-1)^{|sigma|} det(s_{sigma-tilde_i + j - i})
     exactly: the Jacobi-Trudi determinant in the c_j against the one in
     the Segre polynomials."""
-    from .combinat import sigma_tilde
-
     checks = []
     for r in range(2, max_rank + 1):
         failures = []

@@ -159,8 +159,13 @@ def test_curvature_command_with_point(tmp_path, capsys):
     assert "max_center_formula_deviation" in out
 
 
+def _tensor_doc(**entry):
+    """A one-entry tensor document with n = r = 1, fields overridden."""
+    return {"n": 1, "r": 1, "entries": [{"j": 1, "k": 1, "alpha": 1, "beta": 1, "re": 1.0, **entry}]}
+
+
 @pytest.mark.parametrize(
-    "rho, spec, tensor_r, point, message",
+    "rho, spec, tensor, point, message",
     [
         ("0,1,3", "1,2", 3, "1", "has 2 coordinates, got 1"),
         ("0,1,3", "1,2", 3, "1,2,3", "has 2 coordinates, got 3"),
@@ -171,6 +176,11 @@ def test_curvature_command_with_point(tmp_path, capsys):
         ("0,1,3", "1,2", 3, "1e20,1e20", "tolerance"),
         ("0,1,3", "1", 3, None, "--spec needs 2"),
         ("0,1,3", "1,2,3", 3, None, "--spec needs 2"),
+        ("0,1", "0,1", _tensor_doc(j=2), None, "'j' must be an integer in 1..1, got 2"),
+        ("0,1", "0,1", _tensor_doc(j=1.5), None, "'j' must be an integer in 1..1, got 1.5"),
+        ("0,1", "0,1", _tensor_doc(j=0), None, "'j' must be an integer in 1..1, got 0"),
+        ("0,1", "0,1", _tensor_doc(re="1"), None, "'re' must be a finite real number, got '1'"),
+        ("0,1", "0,1", [_tensor_doc()], None, "must be a JSON object"),
     ],
     ids=[
         "short-point",
@@ -182,14 +192,22 @@ def test_curvature_command_with_point(tmp_path, capsys):
         "far-point-singular",
         "short-spec",
         "long-spec",
+        "tensor-index-out-of-range",
+        "tensor-index-not-integer",
+        "tensor-index-zero",
+        "tensor-value-not-number",
+        "tensor-not-object",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 def test_curvature_rejects_bad_point_and_tensor(
-    tmp_path, capsys, rho, spec, tensor_r, point, message
+    tmp_path, capsys, rho, spec, tensor, point, message
 ):
+    # an int is the rank of a valid tensor, anything else the document itself
+    if isinstance(tensor, int):
+        tensor = griffiths_sample(2, tensor, terms=2, seed=0).to_json()
     path = tmp_path / "tensor.json"
-    path.write_text(json.dumps(griffiths_sample(2, tensor_r, terms=2, seed=0).to_json()))
+    path.write_text(json.dumps(tensor))
     argv = ["curvature", "--rho", rho, "--spec", spec, "--tensor", str(path)]
     code, out, err = run(capsys, *argv, *(["--point", point] if point else []))
     assert code == 2

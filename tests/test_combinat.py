@@ -1,13 +1,22 @@
-import pytest
+import math
+from itertools import combinations, permutations
 
+import numpy as np
+import pytest
+from test_formlab import permutation_wedge_det
+
+from flagforms.charpoly import ChernPoly, _chern_entry, segre_polys
 from flagforms.combinat import (
     DimensionSequence,
     Partition,
     admissible_pairs,
+    bitmask,
     complete_sequence,
     conjugate,
     dimension_sequences,
     lambda_from_sigma_tilde,
+    laplace_minors,
+    mask_indices,
     nu_from_rho,
     partitions_of,
     perm_sign,
@@ -16,6 +25,7 @@ from flagforms.combinat import (
     root_blocks,
     sigma_tilde,
 )
+from flagforms.formlab import ExtForm, GeneratorSpace
 
 
 def test_partition_validation():
@@ -144,13 +154,91 @@ def test_partition_json_drops_trailing_zeros():
 
 
 def test_perm_sign_is_the_permutation_matrix_determinant():
-    from itertools import permutations
-
-    import numpy as np
-
     for k in range(5):
         for w in permutations(range(k)):
             det = round(np.linalg.det(np.eye(k)[list(w)])) if k else 1
             assert perm_sign(w) == det
             # 1-based one-line notation gives the same sign
             assert perm_sign(x + 1 for x in w) == det
+
+
+# -- Laplace minors against the Leibniz sum ----------------------------------
+
+
+def _leibniz_minors(rows, ncols, one, zero):
+    """Every minor that ``laplace_minors`` may hold, as a permutation sum:
+    cols -> (the minor of the last popcount(cols) rows on cols, whether
+    some permutation term has no None entry)."""
+    k = len(rows)
+    out = {}
+    for cols in range(1 << ncols):
+        idx = mask_indices(cols)
+        if len(idx) > k:
+            continue
+        sub = [[rows[i][j] for j in idx] for i in range(k - len(idx), k)]
+        expandable = any(
+            all(row[j] is not None for row, j in zip(sub, perm)) for perm in permutations(range(len(idx)))
+        )
+        out[cols] = (
+            permutation_wedge_det([[zero if e is None else e for e in row] for row in sub], one, zero),
+            expandable,
+        )
+    return out
+
+
+def test_laplace_minors_of_jacobi_trudi_and_segre_matrices_match_the_leibniz_sum():
+    # c_{lambda_i + j - i} and s_{lambda_i + j - i} with None outside 0..r
+    # and below 0; a minor is left out exactly when every permutation term
+    # meets a None, and the Segre matrices have minors that cancel to zero
+    cancelled = 0
+    for r in range(1, 5):
+        one, zero = ChernPoly.one(r), ChernPoly.zero(r)
+        segre = segre_polys(r, 12)
+        for lam in (lam for k in range(7) for lam in partitions_of(k)):
+            size = len(lam)
+            shifted = [[lam[i] + j - i for j in range(size)] for i in range(size)]
+            for rows in (
+                [[_chern_entry(r, x) for x in row] for row in shifted],
+                [[segre[x] if x >= 0 else None for x in row] for row in shifted],
+            ):
+                got = laplace_minors(rows, size, one, zero)
+                for cols, (want, expandable) in _leibniz_minors(rows, size, one, zero).items():
+                    assert (cols in got) == expandable, (lam, r, cols)
+                    assert got.get(cols, zero) == want, (lam, r, cols)
+                    cancelled += expandable and want.is_zero()
+    assert cancelled
+
+
+def _random_form(rng, space):
+    terms = {}
+    for a, b in rng.integers(0, len(space), (3, 2)):
+        terms[1 << int(a), 1 << int(b)] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return ExtForm(space, terms)
+
+
+def test_laplace_minors_of_per_sample_forms_match_the_leibniz_sum():
+    rng = np.random.default_rng(3)
+    space = GeneratorSpace.base(4)
+    one, zero = ExtForm.one(space), ExtForm.zero(space)
+    for k in range(1, 5):
+        # three random (1,1) terms per entry, each with three samples
+        rows = [[_random_form(rng, space) for _ in range(k)] for _ in range(k)]
+        got = laplace_minors(rows, k, one, zero)
+        for cols, (want, _) in _leibniz_minors(rows, k, one, zero).items():
+            assert set(got[cols].terms) == set(want.terms), (k, cols)
+            for key, value in want.terms.items():
+                assert np.allclose(got[cols].terms[key], value, rtol=1e-12, atol=1e-12), (k, cols, key)
+
+
+def test_laplace_minors_of_frames_match_numpy_determinants():
+    # the minor on cols is the determinant of the last popcount(cols) rows
+    rng = np.random.default_rng(11)
+    for k in range(1, 6):
+        for n in range(k, 6):
+            frames = rng.standard_normal((20, k, n)) + 1j * rng.standard_normal((20, k, n))
+            minors = laplace_minors(np.ascontiguousarray(frames.transpose(1, 2, 0)), n, 1.0, 0.0)
+            assert len(minors) == sum(math.comb(n, p) for p in range(k + 1))
+            for p in range(1, k + 1):
+                for S in combinations(range(n), p):
+                    want = np.linalg.det(frames[:, k - p :, list(S)])
+                    assert np.allclose(minors[bitmask(S)], want, rtol=1e-12, atol=1e-12), (k, n, S)
