@@ -237,6 +237,8 @@ STOCHASTIC_SUITES = {"gysin-numeric", "positivity"}
 
 
 def cmd_verify(args):
+    if args.suite not in STOCHASTIC_SUITES and (args.seed, args.samples) != (None, None):
+        raise SystemExit(f"suite {args.suite!r} is not stochastic; it takes no --seed or --samples")
     if (
         os.environ.get("FLAGFORMS_CI")
         and args.suite in STOCHASTIC_SUITES

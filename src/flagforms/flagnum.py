@@ -12,7 +12,9 @@ the point a chart center carries it there (``_exact_coeffs``, behind
 integrand, and with a given unitary frame ``theta_intrinsic``.
 Fourth-order central finite differences on the metric are the oracle
 only: the audit of every Monte Carlo run, the curvature suite and the
-tests.
+tests.  The oracle (``_curvature_coeffs``) takes every block from the
+stencils, the base block too, and shares no formula with the center
+formula.
 
 Curvature coefficients are dicts keyed by pairs (a, b) of chart
 generator indices: z_1..z_n, then one zeta per admissible pair.  The
@@ -53,7 +55,7 @@ from .formlab import (
     chern_forms,
 )
 from .gysin import pushforward_dp
-from .rootcalc import _resolve_bundle, bundles_in_expression, expand_expression
+from .rootcalc import _resolve_symbol, expand_expression
 
 #: default fourth-order finite-difference step of the oracle stencils
 FD_STEP = 1e-3
@@ -321,22 +323,18 @@ def _dot(A, B):
     return acc
 
 
-def _sweep(A, pivots):
-    """Sweep the samples-last array A (m, m, ...) in place on the pivots of
-    a block D: [[A, B], [B^H, D]] becomes [[A - B D^-1 B^H, B D^-1],
-    [D^-1 B^H, -D^-1]], and -A^-1 after every pivot.  Gauss-Jordan without
-    pivoting, stable on the positive definite Gram blocks and metrics here."""
-    for k in pivots:
+def _inverse(H):
+    """Inverses of samples-last positive definite or triangular matrices
+    (m, m, ...): a Gauss-Jordan sweep on every pivot turns a copy of H into
+    -H^-1.  No pivoting, stable on the positive definite metrics and the
+    triangular factors here."""
+    A = H.copy()
+    for k in range(len(A)):
         inv = 1 / A[k, k]
         row, col = A[k] * inv, A[:, k] * inv
         A -= A[:, k, None] * row[None]
         A[k], A[:, k], A[k, k] = row, col, -inv
-    return A
-
-
-def _inverse(H):
-    """Inverses of samples-last positive definite or triangular matrices."""
-    return -_sweep(H.copy(), range(len(H)))
+    return -A
 
 
 def _qr(X):
@@ -363,7 +361,7 @@ class _Stencils:
     """Fourth-order Wirtinger derivatives of the universal-bundle metric
     around a batch of fiber points, along the chart generators a (z_1..z_n,
     then zeta_p) that key the coefficient dicts: the independent route that
-    audits the exact curvature.
+    audits the exact curvature, in every block.
 
     Steps are relative: the step of every fiber coordinate is
     FD_STEP * sqrt(1 + |zeta|^2) per sample, the scale on which the induced
@@ -436,29 +434,12 @@ class _Stencils:
         return out[0], dict(zip(diag + mixed, np.moveaxis(np.concatenate(out[1:], axis=2), 2, 0)))
 
 
-def _bundle_projector(spec, V):
-    """The (rk, r, N) matrix K at samples-last frames V (r, r, N) with
-    H0 = K G K^H the induced metric of the bundle, G = V^T conj(V).
-
-    K is the identity on the quotient block and -B D^-1 on the sub block
-    D of G, so K G K^H = A - B D^-1 B^H, the Schur complement, from one
-    sweep of the bundle's Gram block.  A sub-bundle has no sub block.
-    """
-    q_idx, _ = _bundle_slices(spec)
-    r, lo, rk = len(V), q_idx[0], len(q_idx)
-    hi = lo + rk
-    Vb = V[:, lo:]
-    G = _sweep(_dot(np.swapaxes(Vb, 0, 1), np.conj(Vb)), range(rk, r - lo))
-    K = np.zeros((rk,) + V.shape[1:], dtype=complex)
-    K[:, lo:hi] = np.eye(rk)[:, :, None]
-    K[:, hi:] = -G[:rk, rk:]
-    return K
-
-
 def _base_coeffs(W, C, H0inv):
-    """The base block of the curvature at z = 0, (rk, rk, n, n, N):
-    -(d_j dbar_k H) H0^-1 = W c[j,k] W^H H0^-1 with W = K V^T, since the
-    ambient metric enters the Gram matrix as V^T He conj(V)."""
+    """The base block of the curvature at z = 0, (rk, rk, n, n, N), of a
+    bundle whose metric is H = W He W^H with samples-last W (rk, r, N), the
+    transposed frame columns of the bundle when they are orthogonal to its
+    sub-bundle, as in a unitary frame: -(d_j dbar_k H) H0^-1 =
+    W c[j,k] W^H H0^-1."""
     X = _dot(_herm_t(W), H0inv)  # W^H H0^-1
     M = [[_dot(W, _dot(c[..., None], X)) for c in row] for row in C.coeffs]
     return np.moveaxis(np.array(M), (0, 1), (2, 3))
@@ -528,7 +509,7 @@ def _exact_coeffs(spec, C, zeta):
 
 def _curvature_coeffs(spec, C, zeta):
     """Coefficient arrays of the curvature at z = 0 over a batch of fiber
-    points, from the finite-difference stencils (the base block analytic).
+    points, every block from the finite-difference stencils.
 
     Returns (coeffs, H0, H0inv): a dict keyed by generator-index pairs
     (a, b) of the chart with values shaped (rk, rk) + shape, samples last --
@@ -543,8 +524,6 @@ def _curvature_coeffs(spec, C, zeta):
     n, d = chart.n, chart.d
     H0 = _induced_metric(chart, spec, Z)
     H0inv = _inverse(H0)
-    V = _frames(chart, Z)
-    Hz = _base_coeffs(_dot(_bundle_projector(spec, V), np.swapaxes(V, 0, 1)), C, H0inv)
     base, fiber = range(n), range(n, n + d)
     # the pair order is the term order of the forms built from these
     # coefficients, which fixes the rounding of sums over their terms: the
@@ -552,17 +531,18 @@ def _curvature_coeffs(spec, C, zeta):
     # then the mixed blocks
     pairs = sorted(product(fiber, fiber), key=lambda ab: (min(ab), max(ab), ab[0] > ab[1]))
     pairs += list(product(base, base)) + list(product(base, fiber)) + list(product(fiber, base))
-    fd, coeffs = [(a, b) for a, b in pairs if max(a, b) >= n], {}
-    if fd:  # none on a point fiber
-        # the metric is Hermitian: the vertical lower triangle mirrors the upper
-        P, S = _Stencils(spec, C, Z).derivatives([(a, b) for a, b in fd if not n <= b < a])
-        S = np.stack([_herm_t(S[b, a]) if n <= b < a else S[a, b] for a, b in fd], axis=2)
-        # all pairs at once: (P_a H0^-1 P_b^H - S_ab) H0^-1
-        ia, ib = np.array(fd).T
-        M = _dot(_dot(_dot(P, H0inv[:, :, None])[:, :, ia], _herm_t(P[:, :, ib])) - S, H0inv[:, :, None])
-        coeffs = dict(zip(fd, np.moveaxis(M, 2, 0)))
-    coeffs = {(a, b): Hz[:, :, a, b] if max(a, b) < n else coeffs[a, b] for a, b in pairs}
-    return {key: _unfold(v, shape) for key, v in coeffs.items()}, _unfold(H0, shape), _unfold(H0inv, shape)
+    if not pairs:  # a point fiber over a point base
+        return {}, _unfold(H0, shape), _unfold(H0inv, shape)
+    # the metric is Hermitian: the lower triangles of the vertical and the
+    # horizontal block mirror the upper ones
+    mirror = [b < a and (a < n) == (b < n) for a, b in pairs]
+    P, S = _Stencils(spec, C, Z).derivatives([ab for ab, m in zip(pairs, mirror) if not m])
+    S = np.stack([_herm_t(S[b, a]) if m else S[a, b] for (a, b), m in zip(pairs, mirror)], axis=2)
+    # all pairs at once: (P_a H0^-1 P_b^H - S_ab) H0^-1
+    ia, ib = np.array(pairs).T
+    M = _dot(_dot(_dot(P, H0inv[:, :, None])[:, :, ia], _herm_t(P[:, :, ib])) - S, H0inv[:, :, None])
+    coeffs = {ab: _unfold(v, shape) for ab, v in zip(pairs, np.moveaxis(M, 2, 0))}
+    return coeffs, _unfold(H0, shape), _unfold(H0inv, shape)
 
 
 def _audit_coeffs(spec, C, zeta, exact):
@@ -656,7 +636,7 @@ def _center_coeffs(spec, C, g=None):
     lo, hi = block[0] - 1, block[-1]
     if g is None:
         base = C.coeffs[:, :, lo:hi, lo:hi].transpose(2, 3, 0, 1)
-    else:  # W = K V^T for the unitary frame V = g, where H0 = 1
+    else:  # the bundle's columns of the unitary frame g, where H0 = 1
         base = _base_coeffs(np.swapaxes(g[:, lo:hi], 0, 1), C, np.eye(rk)[:, :, None])
     coeffs.update({(j, k): base[:, :, j, k] for j in range(chart.n) for k in range(chart.n)})
     return coeffs
@@ -686,9 +666,9 @@ def theta_intrinsic(spec, V, C):
         raise ValueError("matrix is not unitary within 1e-10")
     chart = chart_for(spec, C.n)
     Vb = V[:, _bundle_slices(spec)[0]]
-    center = _center_coeffs(spec, C, V[..., None])
+    base = _base_coeffs(Vb.T[..., None], C, np.eye(spec.rank)[:, :, None])
     projected = {
-        (j, k): np.conj(Vb) @ center[j, k][..., 0] @ Vb.T
+        (j, k): np.conj(Vb) @ base[:, :, j, k, 0] @ Vb.T
         for j in range(chart.n)
         for k in range(chart.n)
     }
@@ -826,8 +806,8 @@ def pushforward_numeric(chart, F_expr, C, sampler):
                                    n_requested=cfg.num_samples, n_nonfinite=0, degree=deg, fiber_dim=d)
     if k > n:
         raise ValueError(f"output degree {k} exceeds base dimension {n}")
-    specs = bundles_in_expression(F_expr, rho)
-    spec_of = {ref: _resolve_bundle(ref, rho) for _, ref in exprs.chern_symbols(F_expr)}
+    spec_of = {ref: _resolve_symbol(j, ref, rho) for j, ref in exprs.chern_symbols(F_expr)}
+    specs = list(dict.fromkeys(spec_of.values()))
 
     center = np.zeros((1, d))
     audits = [

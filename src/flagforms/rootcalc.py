@@ -177,6 +177,15 @@ def _resolve_bundle(ref, rho):
     raise ValueError(f"unknown bundle reference {ref!r}")
 
 
+def _resolve_symbol(j, ref, rho):
+    """The UniversalBundleSpec of the Chern symbol c_j(ref); raises unless
+    j is at most the bundle's rank."""
+    spec = _resolve_bundle(ref, rho)
+    if j > spec.rank:
+        raise ValueError(f"c{j}({exprs.bundle_text(ref)}): rank of the bundle is {spec.rank}")
+    return spec
+
+
 def expand_expression(expr, rho):
     """Expand a polynomial expression in Chern classes of universal bundles
     into a RootPoly; ring homomorphism on expressions."""
@@ -185,20 +194,12 @@ def expand_expression(expr, rho):
     rho = as_dimension_sequence(rho)
     r = rho.r
 
-    def atom(j, ref):
-        spec = _resolve_bundle(ref, rho)
-        if j > spec.rank:
-            raise ValueError(
-                f"c{j}({exprs.bundle_text(ref)}): rank of the bundle is {spec.rank}"
-            )
-        return universal_chern_class(spec, j)
-
     # every atom is an elementary symmetric polynomial of a whole root
     # block, and every node of the fold builds a new polynomial
     out = exprs.evaluate(
         expr,
         const=lambda q: RootPoly.const(r, q),
-        chern=atom,
+        chern=lambda j, ref: universal_chern_class(_resolve_symbol(j, ref, rho), j),
     )
     out._block_rho = rho.rho
     return out
@@ -209,13 +210,4 @@ def bundles_in_expression(expr, rho):
     if isinstance(expr, str):
         expr = exprs.parse(expr)
     rho = as_dimension_sequence(rho)
-    specs = []
-    for j, ref in exprs.chern_symbols(expr):
-        spec = _resolve_bundle(ref, rho)
-        if j > spec.rank:
-            raise ValueError(
-                f"c{j}({exprs.bundle_text(ref)}): rank of the bundle is {spec.rank}"
-            )
-        if spec not in specs:
-            specs.append(spec)
-    return specs
+    return list(dict.fromkeys(_resolve_symbol(j, ref, rho) for j, ref in exprs.chern_symbols(expr)))

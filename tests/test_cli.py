@@ -276,6 +276,17 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert "fiber volume calibration" in out and err == ""
 
 
+@pytest.mark.parametrize(
+    "suite, flag",
+    [("curvature", "--seed"), ("identities", "--seed"), ("oracle", "--samples")],
+)
+def test_verify_refuses_seed_and_samples_of_a_suite_that_draws_nothing(capsys, suite, flag):
+    code, out, err = run(capsys, "verify", "--suite", suite, flag, "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: suite {suite!r} is not stochastic; it takes no --seed or --samples\n"
+
+
 @pytest.mark.parametrize("seed", [2**64 - 1, 2**64])
 def test_verify_rejects_a_seed_the_streams_cannot_key(capsys, seed):
     # gysin-numeric keys 64-bit random streams with seed and seed + 1

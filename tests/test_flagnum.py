@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -554,8 +555,8 @@ def _every_bundle(max_rank=4):
 
 
 def test_exact_coefficients_match_finite_differences_every_bundle():
-    # the closed-form vertical block (and the analytic horizontal one)
-    # against the fourth-order stencils, at seeded off-center fiber points,
+    # the closed-form vertical and horizontal blocks against the
+    # fourth-order stencils, at seeded off-center fiber points,
     # relative to each point's largest coefficient; the mixed base-fiber
     # blocks, which the closed form leaves out, must vanish in the stencils
     specs = list(_every_bundle())
@@ -763,14 +764,54 @@ def test_batched_stencils_equal_the_per_derivative_stencils(n):
         ev = flagnum._Stencils(spec, C, np.ascontiguousarray(zeta.T))
         oracle = _PerDerivativeStencils(ev)
         gens = range(n + chart.d)
-        # the diagonal, the upper vertical triangle and both mixed blocks
-        pairs = [(a, b) for a in gens for b in gens if max(a, b) >= n and not n <= b < a]
+        # the diagonal, the upper vertical and base triangles and both mixed blocks
+        pairs = [(a, b) for a in gens for b in gens if not (b < a and (a < n) == (b < n))]
         P, S = ev.derivatives(pairs)
         assert P.shape == (spec.rank, spec.rank, len(gens), 7) and S.keys() == set(pairs)
         for a in gens:
             assert oracle.d1(a).tobytes() == np.ascontiguousarray(P[:, :, a]).tobytes(), (spec, a)
         for a, b in pairs:
             assert oracle.d2(a, b).tobytes() == np.ascontiguousarray(S[a, b]).tobytes(), (spec, a, b)
+
+
+def test_the_oracle_shares_no_formula_with_the_center_formula(monkeypatch):
+    # a wrong base block in the center formula (c[j,k] transposed) leaves
+    # the finite-difference coefficients unchanged, bit for bit, and the
+    # comparison of the exact coefficients with them fails
+    spec = UniversalBundleSpec(DimensionSequence((0, 1, 3)), 1, 2)
+    C = random_tensor(2, 3, 41)
+    d = chart_for(spec, 2).d
+    rng = np.random.default_rng(41)
+    zeta = 0.7 * (rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d)))
+
+    def compare():
+        exact, _, _ = flagnum._exact_coeffs(spec, C, zeta)
+        fd, _, _ = flagnum._curvature_coeffs(spec, C, zeta)
+        scale = max(np.abs(v).max() for v in fd.values())
+        gap = max(np.abs(exact.get(key, 0) - v).max() for key, v in fd.items()) / scale
+        return {key: v.tobytes() for key, v in fd.items()}, gap
+
+    fd, gap = compare()
+    assert gap <= 1e-8
+    base_coeffs = flagnum._base_coeffs
+
+    def transposed(W, C, H0inv):
+        return base_coeffs(W, CurvatureTensor(np.swapaxes(C.coeffs, 2, 3)), H0inv)
+
+    monkeypatch.setattr(flagnum, "_base_coeffs", transposed)
+    fd_wrong, gap_wrong = compare()
+    assert fd_wrong == fd
+    assert gap_wrong > 1e-2
+
+
+def test_curvature_coeffs_without_generators_are_empty():
+    # a point fiber over a point base has no coefficient, only the metric
+    spec = UniversalBundleSpec(DimensionSequence((0, 2)), 0, 1)
+    C = types.SimpleNamespace(n=0, r=2, coeffs=np.zeros((0, 0, 2, 2), dtype=complex))
+    coeffs, H0, H0inv = flagnum._curvature_coeffs(spec, C, np.zeros((3, 0)))
+    assert coeffs == {}
+    identity = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 3))
+    assert np.array_equal(H0, identity) and np.array_equal(H0inv, identity)
 
 
 def test_one_kernel_call_for_all_stencils(monkeypatch):
@@ -786,9 +827,9 @@ def test_one_kernel_call_for_all_stencils(monkeypatch):
     spec = UniversalBundleSpec(DimensionSequence((0, 2, 4)), 1, 2)
     C = griffiths_sample(2, 4, terms=4, seed=0)
     flagnum._curvature_coeffs(spec, C, np.zeros((3, 4)))
-    # 6 first derivatives of 8 moves, 4 diagonal ones of 10, and 6 vertical
-    # and 16 mixed pairs of 64 moves, at 3 points
-    assert calls == [3, 3 * (6 * 8 + 4 * 10 + 22 * 64)]
+    # 6 first derivatives of 8 moves, 4 vertical and 2 base diagonal ones of
+    # 10, and 6 vertical, 1 base and 16 mixed pairs of 64 moves, at 3 points
+    assert calls == [3, 3 * (6 * 8 + 6 * 10 + 23 * 64)]
 
     # the Monte Carlo cases of the benchmark's mc-fiber pass: one audit each
     calls.clear()
