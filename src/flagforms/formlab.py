@@ -297,8 +297,8 @@ class CurvatureTensor:
             raise ValueError(f"expected shape (n, n, r, r), got {coeffs.shape}")
         self.n = coeffs.shape[0]
         self.r = coeffs.shape[2]
-        defect = np.abs(np.conj(coeffs) - coeffs.transpose(1, 0, 3, 2)).max()
-        scale = max(1.0, np.abs(coeffs).max())
+        defect = np.abs(np.conj(coeffs) - coeffs.transpose(1, 0, 3, 2)).max(initial=0)
+        scale = max(1.0, np.abs(coeffs).max(initial=0))
         if defect > HERMITIAN_TOL * scale:
             raise ValueError(f"coefficients violate Hermitian symmetry by {defect:g}")
         self.coeffs = coeffs
@@ -308,7 +308,7 @@ class CurvatureTensor:
         return cls(np.zeros((n, n, r, r), dtype=complex))
 
     def scale(self):
-        return float(np.abs(self.coeffs).max())
+        return float(np.abs(self.coeffs).max(initial=0))
 
     def __neg__(self):
         return CurvatureTensor(-self.coeffs)

@@ -1,14 +1,29 @@
 """Gysin push-forward engine for flag bundles.
 
-Two independent routes are implemented:
+Three routes are implemented:
 
-* ``pushforward_dp`` applies the determinantal rule monomial by monomial:
-  the coefficient b_lambda of xi^lambda contributes
+* ``pushforward_dp`` on an ``expand_expression`` result pushes it in the
+  basis of block Schur polynomials.  Its quotient form is a polynomial in
+  the Chern classes of the root blocks, that is in the elementary
+  symmetric functions of each block's negated roots, and these are
+  algebraically independent.  The Pieri rule expands each block's product
+  of e_k into Schur polynomials of the block, and each product
+  prod_b s_lambda(b) is pushed as the one monomial of the determinantal
+  rule that puts lambda(b) on block b in decreasing order (Darondeau and
+  Pragacz, "Universal Gysin formulas for flag bundles", Int. J. Math. 28,
+  2017).  The root terms of the expansion are never built.
+
+* ``pushforward_dp`` on any other root polynomial, such as one a caller
+  built, applies the determinantal rule monomial by monomial: the
+  coefficient b_lambda of xi^lambda contributes
   b_lambda * gen_schur(reverse(lambda - nu)), where nu is the sequence
   determined by the dimension sequence.  The exponents lambda are read
-  from the packed keys of the input.  An index sequence with two equal
-  shifted entries sigma_i - i vanishes and is dropped first; the others
-  are straightened to +-1 times a partition, or to 0, as
+  from the packed keys of the input.  This route is the test oracle of
+  the first.
+
+  Both routes share one tail.  An index sequence with two equal shifted
+  entries sigma_i - i vanishes and is dropped first; the others are
+  straightened to +-1 times a partition, or to 0, as
   ``charpoly.straighten`` does, so only one determinant per distinct
   partition is evaluated, and ``gen_schur`` takes the smaller of its two
   Jacobi-Trudi determinants for it.
@@ -30,8 +45,8 @@ rule on coarser flags.
 
 import warnings
 from functools import lru_cache, reduce
-from itertools import combinations, compress
-from operator import mul
+from itertools import chain, combinations, compress, product
+from operator import mul, sub
 
 import numpy as np
 
@@ -58,12 +73,11 @@ from .combinat import (
 )
 from .rootcalc import (
     RootPoly,
-    UniversalBundleSpec,
     _elementary,
     apply_permutation,
     block_symmetrize,
+    expand_expression,
     is_block_symmetric,
-    universal_chern_class,
 )
 
 ORACLE_MAX_RANK = 6
@@ -72,43 +86,56 @@ ORACLE_MAX_RANK = 6
 def pushforward_dp(F, rho):
     """Push a RootPoly down to the base via the determinantal rule.
 
-    The rule is applied monomial by monomial.  Only block-symmetric input
-    represents an actual class on the flag bundle; anything else is pushed
-    formally (with a warning), which matters for the oracle comparison on
-    flags with blocks of size above one.  An ``expand_expression`` result
-    for this rho is block-symmetric by construction and is not checked.
+    An ``expand_expression`` result for this rho is pushed from its
+    quotient form by ``_block_schur_rows``, without building its root
+    terms.  Any other input is pushed monomial by monomial: only
+    block-symmetric input represents an actual class on the flag bundle,
+    and anything else is pushed formally (with a warning), which matters
+    for the oracle comparison on flags with blocks of size above one.
 
-    The exponents are read from F's packed keys as one (terms x r) integer
-    matrix, so a product that is only pushed never builds its terms.  A
-    monomial whose index sequence sigma has two equal shifted entries
-    sigma_i - i vanishes and is dropped first, by comparing the columns of
-    shifted entries pairwise.  The others are straightened
-    to a signed partition or to zero, and ``gen_schur`` is evaluated once
-    for each partition whose signed coefficients do not cancel.  The sums
-    run on the integer numerators of F over its common denominator, as
-    ``gen_schur`` has integer coefficients; each coefficient of the result
-    is divided by it once.
+    The exponents of the monomials are read from F's packed keys as one
+    (terms x r) integer matrix, and a monomial whose index sequence sigma
+    has two equal shifted entries sigma_i - i vanishes and is dropped
+    first, by comparing the columns of shifted entries pairwise.  Both
+    routes end in ``_push_shifted``.
     """
     rho = as_dimension_sequence(rho)
     r = rho.r
     if F.r != r:
         raise ValueError(f"root polynomial rank {F.r} != rho rank {r}")
-    needs_check = rho.m < r and getattr(F, "_block_rho", None) != rho.rho
-    if needs_check and not is_block_symmetric(F, rho):
+    # sigma = reverse(exps) - reverse(nu), so l_i = exps[r-1-i] - offsets[i]
+    offsets = [x + i for i, x in enumerate(nu_from_rho(rho)[::-1])]
+    form = getattr(F, "_quotient", None)
+    if form is not None and form[0] == rho.rho:
+        return _push_shifted(*_block_schur_rows(form[1], rho, offsets), r)
+    if rho.m < r and not is_block_symmetric(F, rho):
         warnings.warn(
             "input is not block-symmetric; the determinantal rule is applied "
             "formally, monomial by monomial",
             stacklevel=2,
         )
     exps, nums, den = F._exponent_matrix()
-    # sigma = reverse(exps) - reverse(nu), so l_i = exps[r-1-i] - offsets[i]
-    offsets = [x + i for i, x in enumerate(nu_from_rho(rho)[::-1])]
     shifted = exps[:, ::-1] - offsets
     distinct = np.ones(len(exps), dtype=bool)
     for i, j in combinations(range(r), 2):
         distinct &= shifted[:, i] != shifted[:, j]
+    return _push_shifted(shifted[distinct].tolist(), compress(nums, distinct.tolist()), den, r)
+
+
+def _push_shifted(rows, nums, den, r):
+    """The push of the index sequences whose shifted entries are ``rows``,
+    with integer numerators ``nums`` over the common denominator ``den``;
+    the entries of each row are distinct.
+
+    Each row is straightened to a signed partition or to zero, and
+    ``gen_schur`` is evaluated once for each partition whose signed
+    numerators do not cancel, taking the smaller of its two Jacobi-Trudi
+    determinants.  The sums run on the integer numerators, as ``gen_schur``
+    has integer coefficients; each coefficient of the result is divided by
+    ``den`` once.
+    """
     by_partition = {}
-    for row, num in zip(shifted[distinct].tolist(), compress(nums, distinct.tolist())):
+    for row, num in zip(rows, nums):
         sign, parts = _straighten_shifted(row)
         if sign:
             by_partition[parts] = by_partition.get(parts, 0) + sign * num
@@ -117,6 +144,66 @@ def pushforward_dp(F, rho):
         if num:
             acc = acc + gen_schur(parts, r) * num
     return ChernPoly._wrap(r, dict(zip(acc.terms, _over(acc.terms.values(), den))))
+
+
+@lru_cache(maxsize=1 << 14)
+def _pieri(lam, k):
+    """The partitions mu with mu / lam a vertical strip of k boxes and no
+    more parts than lam has entries, lam padded with zeros to the block
+    size: s_lam * e_k = sum of s_mu over the block (Macdonald, Symmetric
+    Functions and Hall Polynomials, I (5.17))."""
+    out = []
+    for rows in combinations(range(len(lam)), k):
+        mu = list(lam)
+        for i in rows:
+            mu[i] += 1
+        if mu == sorted(mu, reverse=True):
+            out.append(tuple(mu))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 12)
+def _block_schur(exps):
+    """prod_k c_k^{exps[k-1]} over a block of len(exps) roots in the Schur
+    basis of the block: (lam padded to the block size, coefficient) pairs.
+
+    c_k is e_k of the negated roots, so the product is (-1)^|lam| times the
+    Pieri expansion of the e_k; a vertical strip adds to distinct rows, so
+    the length never exceeds the block size."""
+    out = {(0,) * len(exps): 1}
+    for k, a in enumerate(exps, start=1):
+        for _ in range(a):
+            grown = {}
+            for lam, coeff in out.items():
+                for mu in _pieri(lam, k):
+                    grown[mu] = grown.get(mu, 0) + coeff
+            out = grown
+    return tuple((lam, -c if sum(lam) & 1 else c) for lam, c in out.items())
+
+
+def _block_schur_rows(quotient, rho, offsets):
+    """(rows, numerators, denominator) of a quotient form for
+    ``_push_shifted``: the shifted index sequences of its products of block
+    Schur polynomials, prod_b s_lam(b), whose entries are distinct.
+
+    The push of prod_b s_lam(b) is that of the one monomial that puts lam(b)
+    on block b in decreasing order along the root indices, the largest
+    index taking lam(b)_1: s_lam is the divided difference of x^(lam+delta)
+    (Macdonald I.3), and the determinantal rule is antisymmetric under the
+    dot action.  The blocks of ``root_blocks`` run from the largest root
+    indices down, so the reversed exponents are the lam(b) in block order.
+    """
+    blocks = root_blocks(rho)
+    r = rho.r
+    nums, den = quotient._numerators()
+    rows = {}
+    for exps, num in zip(quotient.terms, nums):
+        schur_terms = [_block_schur(tuple(exps[i - 1] for i in block)) for block in blocks]
+        for combo in product(*schur_terms):
+            row = tuple(map(sub, chain.from_iterable(lam for lam, _ in combo), offsets))
+            if len(set(row)) == r:
+                rows[row] = rows.get(row, 0) + reduce(mul, (c for _, c in combo), num)
+    return rows, rows.values(), den
 
 
 # -- Weyl symmetrizer ------------------------------------------------------
@@ -390,14 +477,12 @@ def grassmann_c1c2_pushforward(r, n, s, alpha, beta):
             f"{d} <= {total} <= {n + d} fails"
         )
     rho = as_dimension_sequence((0, s, r))
-    spec = UniversalBundleSpec(rho, 1, 2)
     k = total - d
-    if beta > 0 and spec.rank < 2:
+    if beta > 0 and r - s < 2:
         # c_2 of a line bundle vanishes, so the whole form is zero
         return ChernPoly.zero(r), SchurVector(k, r, {})
-    F = universal_chern_class(spec, 1) ** alpha
-    if beta:
-        F = F * universal_chern_class(spec, 2) ** beta
+    text = f"c1(Q{s})^{alpha}" + (f"*c2(Q{s})^{beta}" if beta else "")
+    F = expand_expression(text, rho)
     pushed = pushforward_dp(F, rho)
     vec = schur_decompose(pushed, k)
     negative = [sigma.parts for sigma, coeff in vec.items() if coeff < 0]

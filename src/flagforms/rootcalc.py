@@ -7,6 +7,16 @@ U_l / U_ell carries the root block r - rho_l < i <= r - rho_ell and its j-th
 Chern class is the j-th elementary symmetric polynomial of the negated roots
 in that block.  In particular, over the complete flag the successive
 quotient U_{r-l+1}/U_{r-l} has first Chern class -xi_l.
+
+An expression is expanded in two stages.  It is first evaluated in the
+Chern classes of the successive quotients, its quotient form: by the
+Whitney formula c_j(U_l/U_ell) is the sum over the ways to split j among
+the blocks of the products of their Chern classes, so the quotient form is
+one ChernPoly of rank r whose variable at root index block[k-1] stands for
+c_k of that block.  The root terms are built from it only when they are
+first read, by putting e_k of the block's negated roots for c_k.  The
+push-forward reads the quotient form itself (``gysin.pushforward_dp``), so
+an expansion that is only pushed never builds its root terms.
 """
 
 from fractions import Fraction
@@ -22,16 +32,60 @@ class RootPoly(ChernPoly):
     """Sparse polynomial in xi_1..xi_r; exponent tuples are plain degrees
     (no Chern weighting), coefficients exact rationals.
 
-    ``_block_rho`` is set only on an ``expand_expression`` result, to the
-    rho whose blocks it is symmetric in; the terms cannot change.
+    ``_quotient`` is set only on an ``expand_expression`` result, to
+    (rho, quotient form).  Such a polynomial holds neither terms nor
+    packing until one of them is read; they are then built from the
+    quotient form once, and it is symmetric in the blocks of rho.
     """
 
-    __slots__ = ("_block_rho",)
+    __slots__ = ("_quotient",)
     _var, _exps_key = "xi", "xi_exps"
 
     @staticmethod
     def _weight(i):
         return 1
+
+    @classmethod
+    def _of_quotient(cls, rho, quotient):
+        """The unbuilt root expansion of a quotient form over rho."""
+        out = cls.__new__(cls)
+        out.r = quotient.r
+        out._terms = out._packing = out._numer = None
+        out._quotient = (rho.rho, quotient)
+        return out
+
+    def _build(self):
+        """Build the root terms of an unbuilt expansion, c_k of a block
+        becoming e_k of its negated roots."""
+        if self._terms is None and self._packing is None:
+            rho, quotient = self._quotient
+            r = self.r
+            images = [None] * (r + 1)
+            for block in root_blocks(rho):
+                for k, i in enumerate(block, start=1):
+                    images[i] = _elementary(r, block, k)
+            built = quotient.evaluate(images, lambda q: RootPoly.const(r, q))
+            self._terms, self._packing, self._numer = built._terms, built._packing, built._numer
+
+    @property
+    def terms(self):
+        self._build()
+        return super().terms
+
+    def _packed(self, width=1):
+        self._build()
+        return super()._packed(width)
+
+    def _numerators(self):
+        self._build()
+        return super()._numerators()
+
+    def is_zero(self):
+        if self._terms is None and self._packing is None:
+            # the e_k of the blocks are algebraically independent, so the
+            # substitution maps only zero to zero
+            return self._quotient[1].is_zero()
+        return super().is_zero()
 
 
 class UniversalBundleSpec:
@@ -186,28 +240,37 @@ def _resolve_symbol(j, ref, rho):
     return spec
 
 
+def _quotient_chern_class(spec, j):
+    """c_j of the universal bundle in the quotient form: by the Whitney
+    formula, the sum over the ways to split j among the blocks it spans of
+    the products of the blocks' Chern classes, as a ChernPoly of rank r
+    whose variable at root index block[k-1] is c_k of that block."""
+    r = spec.rho.r
+    blocks = root_blocks(spec.rho)[spec.ell : spec.l]
+    terms = {}
+    for split in product(*(range(len(block) + 1) for block in blocks)):
+        if sum(split) == j:
+            exps = [0] * r
+            for block, k in zip(blocks, split):
+                if k:
+                    exps[block[k - 1] - 1] = 1
+            terms[tuple(exps)] = 1
+    return ChernPoly(r, terms)
+
+
 def expand_expression(expr, rho):
     """Expand a polynomial expression in Chern classes of universal bundles
-    into a RootPoly; ring homomorphism on expressions."""
+    into a RootPoly; ring homomorphism on expressions.
+
+    The expression is evaluated in its quotient form, where products stay
+    packed; the root terms are built from it when they are first read."""
     if isinstance(expr, str):
         expr = exprs.parse(expr)
     rho = as_dimension_sequence(rho)
     r = rho.r
-
-    # every atom is an elementary symmetric polynomial of a whole root
-    # block, and every node of the fold builds a new polynomial
-    out = exprs.evaluate(
+    quotient = exprs.evaluate(
         expr,
-        const=lambda q: RootPoly.const(r, q),
-        chern=lambda j, ref: universal_chern_class(_resolve_symbol(j, ref, rho), j),
+        const=lambda q: ChernPoly.const(r, q),
+        chern=lambda j, ref: _quotient_chern_class(_resolve_symbol(j, ref, rho), j),
     )
-    out._block_rho = rho.rho
-    return out
-
-
-def bundles_in_expression(expr, rho):
-    """The distinct UniversalBundleSpecs referenced by an expression."""
-    if isinstance(expr, str):
-        expr = exprs.parse(expr)
-    rho = as_dimension_sequence(rho)
-    return list(dict.fromkeys(_resolve_symbol(j, ref, rho) for j, ref in exprs.chern_symbols(expr)))
+    return RootPoly._of_quotient(rho, quotient)

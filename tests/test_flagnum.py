@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -807,7 +806,8 @@ def test_the_oracle_shares_no_formula_with_the_center_formula(monkeypatch):
 def test_curvature_coeffs_without_generators_are_empty():
     # a point fiber over a point base has no coefficient, only the metric
     spec = UniversalBundleSpec(DimensionSequence((0, 2)), 0, 1)
-    C = types.SimpleNamespace(n=0, r=2, coeffs=np.zeros((0, 0, 2, 2), dtype=complex))
+    C = CurvatureTensor.zero(0, 2)
+    assert C.scale() == 0.0
     coeffs, H0, H0inv = flagnum._curvature_coeffs(spec, C, np.zeros((3, 0)))
     assert coeffs == {}
     identity = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 3))

@@ -1,11 +1,13 @@
+import random
 import warnings
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, prod
 from operator import sub
 
 import pytest
 
-from flagforms import gysin
+from flagforms import exprs, gysin
 from flagforms.charpoly import ChernPoly, _over, _straighten_shifted, gen_schur, schur, segre_polys
 from flagforms.combinat import (
     as_dimension_sequence,
@@ -23,7 +25,14 @@ from flagforms.gysin import (
     pushforward_oracle_symmetric,
     schur_via_flag,
 )
-from flagforms.rootcalc import RootPoly, _elementary, block_symmetrize, expand_expression
+from flagforms.rootcalc import (
+    RootPoly,
+    _elementary,
+    _resolve_symbol,
+    block_symmetrize,
+    expand_expression,
+    universal_chern_class,
+)
 
 
 def c(r, j):
@@ -318,7 +327,8 @@ def test_push_from_packed_exponents_equals_the_tuple_loop(monkeypatch, rho, text
 
     monkeypatch.setattr(gysin, "_straighten_shifted", recorded)
     F = expand_expression(text, rho)
-    pushed = pushforward_dp(F, rho)
+    # a caller-built copy takes the monomial route
+    pushed = pushforward_dp(RootPoly(F.r, F.terms), rho)
     # only the sequences with distinct shifted entries are straightened
     offsets = [x + i for i, x in enumerate(nu_from_rho(rho)[::-1])]
     rows = [tuple(map(sub, exps[::-1], offsets)) for exps in F.terms]
@@ -350,6 +360,81 @@ def test_push_of_an_expansion_leaves_its_terms_unbuilt():
     pushed = pushforward_dp(F, rho)
     assert F._terms is None
     assert pushed == tuple_loop_push(F, rho)
+
+
+def bundle_texts(rho):
+    """(text, rank) of every universal bundle U_l / U_ell of rho."""
+    m = rho.m
+    out = []
+    for ell in range(m):
+        for l in range(ell + 1, m + 1):
+            text = "E" if (ell, l) == (0, m) else f"U{l}" if ell == 0 else f"U{l}/U{ell}"
+            out.append((text, rho[l] - rho[ell]))
+    if m == 2:
+        out.append((f"Q{rho[1]}", rho[2] - rho[1]))
+    return out
+
+
+def random_expression(rng, rho):
+    """A sum of two or three rational multiples of products of Chern
+    classes, of degrees from the fiber dimension to two above it."""
+    bundles = bundle_texts(rho)
+    d = relative_dimension(rho)
+    out = ""
+    for _ in range(rng.randint(2, 3)):
+        target, deg, factors = d + rng.randint(0, 2), 0, []
+        while deg < target:
+            text, rank = rng.choice(bundles)
+            j, e = rng.randint(1, rank), rng.randint(1, 2)
+            factors.append(f"c{j}({text})^{e}")
+            deg += j * e
+        coeff = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        out += f" {rng.choice('+-')} {coeff}*" + "*".join(factors)
+    return "0" + out
+
+
+def eager_expansion(text, rho):
+    """The root expansion built atom by atom in the roots."""
+    rho = as_dimension_sequence(rho)
+    return exprs.evaluate(
+        exprs.parse(text),
+        const=lambda q: RootPoly.const(rho.r, q),
+        chern=lambda j, ref: universal_chern_class(_resolve_symbol(j, ref, rho), j),
+    )
+
+
+SMALL_FLAG_TYPES = [rho for r in range(2, 6) for rho in dimension_sequences(r, min_steps=2)]
+
+
+@pytest.mark.parametrize("rho", SMALL_FLAG_TYPES, ids=str)
+def test_block_schur_push_equals_the_monomial_push(rho):
+    rng = random.Random(f"block-schur {rho.rho}")
+    for _ in range(3):
+        text = random_expression(rng, rho)
+        F = expand_expression(text, rho)
+        pushed = pushforward_dp(F, rho)
+        assert F._terms is None and F._packing is None
+        eager = eager_expansion(text, rho)
+        assert F.is_zero() == eager.is_zero()
+        assert F._terms is None
+        # the terms built on read are the eager ones, coefficient types included
+        assert F.terms == eager.terms
+        assert {e: type(c) for e, c in F.terms.items()} == {e: type(c) for e, c in eager.terms.items()}
+        expected = pushforward_dp(RootPoly(F.r, F.terms), rho)
+        assert pushed == expected
+        assert {e: type(c) for e, c in pushed.terms.items()} == {e: type(c) for e, c in expected.terms.items()}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_grassmannian_degrees_are_the_standard_tableau_counts(k):
+    # deg G(k, 2k) = number of standard tableaux of the k x k square; the
+    # hook of box (i, j) has length i + j - 1 counted from the far corner
+    # (Frame, Robinson and Thrall, Canad. J. Math. 6, 1954)
+    rho = (0, k, 2 * k)
+    F = expand_expression(f"c1(Q{k})^{k * k}", rho)
+    hooks = prod(i + j - 1 for i in range(1, k + 1) for j in range(1, k + 1))
+    assert pushforward_dp(F, rho) == ChernPoly.const(2 * k, factorial(k * k) // hooks)
+    assert F._terms is None
 
 
 # -- the replaced Weyl-oracle routines, kept as oracles ------------------------
