@@ -10,16 +10,31 @@ sign normalization at insertion.
 
 A coefficient is either a complex number (a form at one point) or a 1-D
 complex array holding one value per sample (the same form at a batch of
-points, as in Monte Carlo fiber integration).  The algebra -- sums, wedge
-products, FormMatrix assembly, Chern forms -- is the same code for both;
-the diagnostics (norm, equality, repr) and positivity evaluation need
-number coefficients.
+points, as in Monte Carlo fiber integration).  Sums, FormMatrix assembly
+and Chern forms are the same code for both; the diagnostics (norm,
+equality, repr) and positivity evaluation need number coefficients.
+
+Wedge products take one of two kernels, chosen by the coefficient type
+and the number of term pairs, and both give the same bits.  Forms at one
+point repeat a few key layouts hundreds of times (the Chern forms of a
+tensor and their products), so number forms multiply through a wedge plan
+cached per pair of layouts: the compatible term pairs, their signs and
+output slots, computed once, then applied as one numpy gather-multiply
+and one ``np.bincount``.  A batch of samples makes each layout pair once
+or twice per process, so planning it would cost more than it saves, and
+forms with per-sample arrays keep the term loop, as do number forms with
+few term pairs, where numpy's per-call cost exceeds the loop's.  The loop
+is also the plan kernel's test oracle.
 
 Determinants come from ``combinat.laplace_minors``, the Laplace expansion
 along the rows with the minors memoized by column subset that also gives
 the exact layer its Jacobi-Trudi determinants.  Chern forms
 take the (s, s) pieces of the wedge determinant det(1 + (i/2 pi) M), and
 positivity sampling takes the k x k minors of batched k-frames from it.
+The random frames of a positivity sample depend on (k, n, samples, seed)
+alone, so their minors are cached under that key.  Both caches are bounded
+by bytes (``WEDGE_PLAN_BYTES``, ``FRAME_CACHE_BYTES``) and hold read-only
+arrays.
 
 Unlike the symbolic modules this one runs on floating point, since its
 inputs (curvature tensors) are numeric.  Tolerances are module constants.
@@ -27,7 +42,9 @@ inputs (curvature tensors) are numeric.  Tolerances are module constants.
 
 import math
 import sys
+import threading
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +54,10 @@ from .combinat import bitmask, laplace_minors, mask_indices
 HERMITIAN_TOL = 1e-10
 #: tolerance under which a sampled positivity value counts as non-negative
 POSITIVITY_TOL = 1e-12
+#: bytes held at most by the cached wedge plans of number forms
+WEDGE_PLAN_BYTES = 1 << 22
+#: bytes held at most by the cached minors of positivity frames
+FRAME_CACHE_BYTES = 1 << 25
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +111,149 @@ def _merge_sign(a, b):
     return sign
 
 
+class _ByteLRU:
+    """Least-recently-used cache of read-only values, bounded by the bytes
+    that ``build`` reports with each value.  A value larger than the bound
+    is returned without being kept."""
+
+    def __init__(self, limit):
+        self.limit, self.size = limit, 0
+        self._items = {}  # key -> (value, nbytes), least recently used first
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        """The value under ``key``, made by ``build()`` -> (value, nbytes)
+        when missing."""
+        with self._lock:
+            item = self._items.pop(key, None)
+            if item is not None:
+                self._items[key] = item
+                return item[0]
+        value, nbytes = build()
+        with self._lock:
+            if nbytes <= self.limit and key not in self._items:
+                self._items[key] = (value, nbytes)
+                self.size += nbytes
+                while self.size > self.limit:
+                    self.size -= self._items.pop(next(iter(self._items)))[1]
+        return value
+
+
+def _readonly(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+# -- wedge kernels -------------------------------------------------------------
+
+
+def _numbers(terms):
+    """True when every coefficient is a number, not a per-sample array."""
+    return all(map(isinstance, terms.values(), repeat(complex)))
+
+
+def _loop_wedge(left, right):
+    """The wedge of two term dicts, term pair by term pair: the kernel of
+    forms with per-sample arrays and of small products, and the reference
+    of the plan kernel.  Returns the raw sums, before the constructor's
+    zero dropping."""
+    rows = [(s2, t2, c2, s2.bit_count() & 1) for (s2, t2), c2 in right.items()]
+    terms = {}
+    for (s1, t1), c1 in left.items():
+        odd_t1 = t1.bit_count() & 1
+        for s2, t2, c2, odd_s2 in rows:
+            if s1 & s2 or t1 & t2:
+                continue
+            sign = _merge_sign(s1, s2) * _merge_sign(t1, t2)
+            if odd_t1 & odd_s2:
+                sign = -sign
+            key = (s1 | s2, t1 | t2)
+            piece = c1 * c2
+            if key in terms:
+                terms[key] = terms[key] + piece if sign > 0 else terms[key] - piece
+            else:
+                terms[key] = piece if sign > 0 else -piece
+    return terms
+
+
+#: bytes counted for each key tuple that a cached plan holds
+_KEY_BYTES = 128
+#: fewest term pairs, len(left) * len(right), that number forms wedge
+#: through a plan; below it the term loop is faster even with a warm plan
+_PLAN_MIN_PAIRS = 64
+
+
+def _prefix_parity(v):
+    """Bit x of each result is the parity of the bits of v below x."""
+    v = v << 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        v = v ^ (v << shift)
+    return v
+
+
+def _parity(v):
+    """The parity of the number of set bits of each entry."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
+def _build_wedge_plan(left, right):
+    """The wedge plan of two key layouts, the key tuples of two forms in
+    dict order: the left and right index of each compatible term pair,
+    left-major as ``_loop_wedge`` visits them; whether the pair's sign is
+    negative; the pair's output slot; and the output keys in order of first
+    appearance.  Returns the plan and the bytes it holds."""
+    L = np.array(left, dtype=np.uint64).reshape(-1, 2)
+    R = np.array(right, dtype=np.uint64).reshape(-1, 2)
+    li, ri = np.nonzero(((L[:, None, 0] & R[None, :, 0]) | (L[:, None, 1] & R[None, :, 1])) == 0)
+    s1, t1, s2, t2 = L[li, 0], L[li, 1], R[ri, 0], R[ri, 1]
+    # the merge sign of (a, b) is the parity of a & _prefix_parity(b), and
+    # parities add over xor, so one parity gives both merge signs
+    below = _prefix_parity(R)[ri]
+    odd = _parity((s1 & below[:, 0]) ^ (t1 & below[:, 1])) ^ (_parity(t1) & _parity(s2))
+    slots = {}
+    slot = [slots.setdefault(key, len(slots)) for key in zip((s1 | s2).tolist(), (t1 | t2).tolist())]
+    # the real part of a piece goes to bin 2 * slot, its imaginary part to
+    # bin 2 * slot + 1, so the bin sums read as complex numbers
+    bins = 2 * np.repeat(np.array(slot, dtype=np.intp), 2)
+    bins[1::2] += 1
+    plan = (li, ri, odd.astype(bool), bins)
+    _readonly(plan)
+    keys = tuple(slots)
+    nbytes = sum(a.nbytes for a in plan) + _KEY_BYTES * (len(left) + len(right) + len(keys))
+    return plan + (keys,), nbytes
+
+
+_PLANS = _ByteLRU(WEDGE_PLAN_BYTES)
+
+
+def _plan_wedge(left, right):
+    """The wedge of two term dicts of Python complex numbers through the
+    wedge plan of their key layouts: one gather-multiply, with the real and
+    imaginary parts formed as Python's complex product forms them, then one
+    ``np.bincount``, which adds the parts of the pieces of each key in the
+    loop's order from 0.0.  The sums therefore equal ``_loop_wedge``'s bit
+    for bit, but for the sign of a zero, which is always +0.0 here; zeros
+    are dropped."""
+    layouts = (tuple(left), tuple(right))
+    li, ri, neg, bins, keys = _PLANS.get(layouts, lambda: _build_wedge_plan(*layouts))
+    a = np.fromiter(left.values(), complex, len(left))[li]
+    b = np.fromiter(right.values(), complex, len(right))[ri]
+    # -(x * y) is (-x) * y exactly, and the sign of a zero piece never
+    # shows in a sum that starts at 0.0, so the sign goes on the factor
+    np.negative(a, out=a, where=neg)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    pieces = np.empty((len(li), 2))
+    np.subtract(ar * br, ai * bi, out=pieces[:, 0])
+    np.add(ar * bi, ai * br, out=pieces[:, 1])
+    sums = np.bincount(bins, pieces.reshape(-1), 2 * len(keys)).view(complex)
+    terms = dict(zip(keys, sums.tolist()))
+    if not sums.all():
+        terms = {key: c for key, c in terms.items() if c}
+    return terms
+
+
 class ExtForm:
     """Sparse exterior-algebra element with complex coefficients, each a
     number or a per-sample array.  Zero numbers are dropped; arrays are
@@ -108,6 +272,15 @@ class ExtForm:
                 coeff = 0.0 + complex(coeff)
                 if coeff != 0:
                     self.terms[key] = coeff
+
+    @classmethod
+    def _of(cls, space, terms):
+        """The form owning ``terms``, which an internal builder has already
+        put in the constructor's normal form: nonzero Python complex numbers
+        with no negative-zero part, or per-sample arrays."""
+        form = cls.__new__(cls)
+        form.space, form.terms = space, terms
+        return form
 
     # -- constructors ---------------------------------------------------
 
@@ -147,8 +320,16 @@ class ExtForm:
         self._check_space(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            terms[key] = terms[key] + coeff if key in terms else coeff
-        return ExtForm(self.space, terms)
+            if key not in terms:
+                terms[key] = coeff
+                continue
+            # a sum of normal-form numbers has no negative-zero part
+            total = terms[key] + coeff
+            if type(total) is complex and not total:
+                del terms[key]
+            else:
+                terms[key] = total
+        return ExtForm._of(self.space, terms)
 
     __radd__ = __add__
 
@@ -186,27 +367,17 @@ class ExtForm:
     # -- graded structure --------------------------------------------------
 
     def wedge(self, other):
-        """Graded anticommutative product."""
+        """Graded anticommutative product.  Number forms with at least
+        ``_PLAN_MIN_PAIRS`` term pairs multiply through the cached wedge
+        plan of their key layouts, other forms through the term loop; both
+        give the same bits."""
         if not isinstance(other, ExtForm):
             raise TypeError(f"cannot wedge with {type(other)!r}")
         self._check_space(other)
-        right = [(s2, t2, c2, s2.bit_count() & 1) for (s2, t2), c2 in other.terms.items()]
-        terms = {}
-        for (s1, t1), c1 in self.terms.items():
-            odd_t1 = t1.bit_count() & 1
-            for s2, t2, c2, odd_s2 in right:
-                if s1 & s2 or t1 & t2:
-                    continue
-                sign = _merge_sign(s1, s2) * _merge_sign(t1, t2)
-                if odd_t1 & odd_s2:
-                    sign = -sign
-                key = (s1 | s2, t1 | t2)
-                piece = c1 * c2
-                if key in terms:
-                    terms[key] = terms[key] + piece if sign > 0 else terms[key] - piece
-                else:
-                    terms[key] = piece if sign > 0 else -piece
-        return ExtForm(self.space, terms)
+        left, right = self.terms, other.terms
+        if len(left) * len(right) >= _PLAN_MIN_PAIRS and _numbers(left) and _numbers(right):
+            return ExtForm._of(self.space, _plan_wedge(left, right))
+        return ExtForm(self.space, _loop_wedge(left, right))
 
     def conj(self):
         """Complex conjugate form: (S, T) terms map to conjugated (T, S)."""
@@ -408,9 +579,12 @@ class FormMatrix:
             for alpha in range(rank):
                 for beta in range(rank):
                     v = rows[alpha][beta]
-                    if (v != 0) if numbers else v.any():
-                        terms[beta][alpha][key] = v
-        return cls(space, [[ExtForm(space, t) for t in row] for row in terms])
+                    if not numbers:
+                        if v.any():
+                            terms[beta][alpha][key] = v
+                    elif v:  # a number in the constructor's normal form
+                        terms[beta][alpha][key] = 0.0 + complex(v)
+        return cls(space, [[ExtForm._of(space, t) for t in row] for row in terms])
 
     @property
     def rank(self):
@@ -499,7 +673,7 @@ def chern_forms(M):
     pieces = [{} for _ in range(M.rank + 1)]
     for key, coeff in wedge_det(N, one, ExtForm.zero(M.space)).terms.items():
         pieces[key[0].bit_count()][key] = coeff
-    return [ExtForm(M.space, terms) for terms in pieces]
+    return [ExtForm._of(M.space, terms) for terms in pieces]
 
 
 # -- Griffiths positivity ----------------------------------------------------
@@ -572,26 +746,63 @@ def _kappa(k):
     return _KAPPA_CACHE[k]
 
 
-def _evaluate_on_frame(gamma, frames):
-    """Evaluate a (k,k)-form on batched k-frames.
+def _frame_minors(frames):
+    """The k x k minors of batched k-frames and their conjugates, keyed by
+    column mask.
 
-    ``frames`` has shape (N, k, n) with rows the frame vectors; the value
-    for term (S, T) is coeff * det(V[:, S]) * conj(det(V[:, T])).  All
-    k-column minors come from one Laplace expansion along the rows, with
-    the samples on the last axis.
+    ``frames`` has shape (N, k, n) with rows the frame vectors.  All minors
+    come from one Laplace expansion along the rows, with the samples on the
+    last axis; those of fewer columns are dropped.
     """
+    k = frames.shape[1]
     V = np.ascontiguousarray(frames.transpose(1, 2, 0))  # (k, n, N)
     minors = laplace_minors(V, V.shape[1], 1.0, 0.0)
-    vals = np.zeros(V.shape[2], dtype=complex)
+    minors = {cols: m for cols, m in minors.items() if cols.bit_count() == k}
+    return minors, {cols: np.conj(m) for cols, m in minors.items()}
+
+
+def _evaluate_on_minors(gamma, minors, conj):
+    """The value of a (k,k)-form on frames with k x k minors ``minors``
+    and their conjugates ``conj``: coeff * det(V[:, S]) * conj(det(V[:, T]))
+    summed over the terms (S, T)."""
+    vals = np.zeros(len(next(iter(minors.values()))), dtype=complex)
     for (s, t), coeff in gamma.terms.items():
-        vals += coeff * minors[s] * np.conj(minors[t])
+        vals += coeff * minors[s] * conj[t]
     return vals
+
+
+def _evaluate_on_frame(gamma, frames):
+    """Evaluate a (k,k)-form on batched k-frames of shape (N, k, n)."""
+    return _evaluate_on_minors(gamma, *_frame_minors(frames))
+
+
+_FRAMES = _ByteLRU(FRAME_CACHE_BYTES)
+
+
+def _random_frame_minors(k, n, samples, seed):
+    """The k x k minors of ``samples`` random holomorphic k-frames in C^n
+    drawn from ``seed``, and their conjugates, as read-only arrays.  They
+    depend on (k, n, samples, seed) alone, so for an integer seed they are
+    cached under that key."""
+
+    def build():
+        rng = np.random.default_rng(seed)
+        frames = rng.standard_normal((samples, k, n)) + 1j * rng.standard_normal((samples, k, n))
+        minors, conj = _frame_minors(frames)
+        _readonly([*minors.values(), *conj.values()])
+        return (minors, conj), 2 * sum(m.nbytes for m in minors.values())
+
+    if not isinstance(seed, (int, np.integer)):  # a Generator draws anew on each call
+        return build()[0]
+    return _FRAMES.get((k, n, samples, int(seed)), build)
 
 
 def positivity_values(gamma, samples=1000, seed=0):
     """Calibrated evaluation of a (k,k)-form on ``samples`` random
     holomorphic k-frames; a (0,0)-form, the zero form included, is its
-    constant on every frame."""
+    constant on every frame.  ``samples`` must be an integer >= 1."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     p, q = gamma.bidegree()
     if p != q:
         raise ValueError(f"positivity needs a (k,k)-form, got bidegree ({p},{q})")
@@ -601,11 +812,7 @@ def positivity_values(gamma, samples=1000, seed=0):
     n = len(gamma.space)
     if k > n:
         raise ValueError(f"frame dimension {k} exceeds generator count {n}")
-    rng = np.random.default_rng(seed)
-    frames = rng.standard_normal((samples, k, n)) + 1j * rng.standard_normal(
-        (samples, k, n)
-    )
-    vals = _kappa(k) * _evaluate_on_frame(gamma, frames)
+    vals = _kappa(k) * _evaluate_on_minors(gamma, *_random_frame_minors(k, n, int(samples), seed))
     scale = np.abs(vals).max(initial=0.0)
     if np.abs(vals.imag).max(initial=0.0) > 1e-8 * max(1.0, scale):
         raise ArithmeticError("positivity values are not real; form is not real")

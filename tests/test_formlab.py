@@ -1,19 +1,26 @@
 import json
+import math
 from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from flagforms import flagnum
+from flagforms import flagnum, formlab
 from flagforms.combinat import bitmask, dimension_sequences, perm_sign
 from flagforms.formlab import (
     CurvatureTensor,
     ExtForm,
+    FRAME_CACHE_BYTES,
     FormMatrix,
     GeneratorSpace,
     TWO_PI,
+    _ByteLRU,
     _evaluate_on_frame,
+    _kappa,
+    _loop_wedge,
+    _plan_wedge,
+    _random_frame_minors,
     base_curvature_matrix,
     chern_forms,
     griffiths_check,
@@ -209,6 +216,17 @@ def test_positivity_scalar_case():
     assert vals.shape == (10,) and (vals == 2.5).all()
 
 
+@pytest.mark.parametrize("samples", [0, -3, 2.5, "10", True, None])
+def test_positivity_rejects_a_sample_count_that_is_not_a_positive_integer(samples, monkeypatch):
+    # refused before any draw or cache lookup, on the constant branch too
+    monkeypatch.setattr(formlab, "_FRAMES", None)
+    space = GeneratorSpace.base(2)
+    omega = ExtForm.d(space, "z1") * ExtForm.dbar(space, "z1") * 1j
+    for gamma in (omega, ExtForm.scalar(space, 2.5), ExtForm.zero(space)):
+        with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got "):
+            positivity_check(gamma, samples=samples, seed=0)
+
+
 def test_form_matrix_hermitian_check():
     C = griffiths_sample(2, 2, terms=2, seed=8)
     M = base_curvature_matrix(C)
@@ -348,3 +366,166 @@ def test_frame_minors_match_numpy_determinants():
                     got = _evaluate_on_frame(gamma, frames)
                     want = det[S] * np.conj(det[T])
                     assert np.all(np.abs(got - want) <= 1e-12 * bound[S] * bound[T]), (k, n, S, T)
+
+
+def _bits(coeff):
+    """A coefficient's exact value: its dtype and bytes, signed zeros and
+    all."""
+    return np.asarray(coeff).dtype.str, np.asarray(coeff).tobytes()
+
+
+def assert_same_terms(got, want):
+    """Equal keys in equal order, and bit-equal coefficients."""
+    assert list(got.terms) == list(want.terms)
+    for key, coeff in want.terms.items():
+        assert type(got.terms[key]) is type(coeff) and _bits(got.terms[key]) == _bits(coeff), key
+
+
+#: parts that make exact cancellations and products that underflow to -0.0
+_PARTS = [1.0, -1.0, 2.0, -0.5, 0.0, -0.0, 1e-200, -1e-200]
+
+
+def _random_form(rng, space, count, degrees=None):
+    """A number form with ``count`` random keys (of the given (p, q)
+    bidegrees, else any), its parts drawn from _PARTS or normal."""
+    N = len(space)
+    degrees = [(p, q) for p, q in degrees or () if max(p, q) <= N]
+    terms = {}
+    for _ in range(count):
+        if degrees:
+            p, q = degrees[rng.integers(len(degrees))]
+            s = rng.choice([m for m in range(1 << N) if m.bit_count() == p])
+            t = rng.choice([m for m in range(1 << N) if m.bit_count() == q])
+        else:
+            s, t = rng.integers(1 << N, size=2)
+        re, im = (rng.choice(_PARTS) if rng.random() < 0.6 else rng.standard_normal() for _ in range(2))
+        terms[(int(s), int(t))] = complex(re, im)
+    return ExtForm(space, terms)
+
+
+def test_plan_wedge_equals_the_loop_bit_for_bit():
+    # number forms multiply through cached wedge plans, when they have
+    # enough term pairs; the term loop is their reference: the same keys
+    # in the same order, the same bits
+    rng = np.random.default_rng(22)
+    cancelled = underflowed = 0
+    for N in range(1, 7):
+        space = GeneratorSpace.base(N)
+        for trial in range(40):
+            degrees = None if trial % 2 else [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)][: 1 + trial % 5]
+            a = _random_form(rng, space, int(rng.integers(0, 4 * N)), degrees)
+            b = _random_form(rng, space, int(rng.integers(0, 4 * N)), degrees)
+            for x, y in ((a, b), (b, a), (a, a), (a + b, a - b)):
+                raw = _loop_wedge(x.terms, y.terms)
+                want = ExtForm(space, raw)
+                for _ in range(2):  # a cold plan, then a warm one
+                    assert_same_terms(ExtForm._of(space, _plan_wedge(x.terms, y.terms)), want)
+                assert_same_terms(x.wedge(y), want)
+                cancelled += len(raw) - len(want.terms)
+                underflowed += sum(
+                    math.copysign(1, c.real) < 0 or math.copysign(1, c.imag) < 0
+                    for c in raw.values()
+                    if isinstance(c, complex) and not c
+                )
+    # the inputs reach both edge cases: sums that cancel exactly, and sums
+    # that are a negative zero, which the constructor drops
+    assert cancelled > 100 and underflowed > 10, (cancelled, underflowed)
+    # an odd 1-form squares to zero through exactly cancelling pieces
+    space = GeneratorSpace.base(3)
+    odd = ExtForm(space, {(1, 0): 0.3 + 1j, (2, 0): -2.0, (0, 4): 1e-200j})
+    assert odd.wedge(odd).terms == {}
+
+
+def test_forms_with_arrays_take_the_loop_mixed_with_numbers():
+    # a form with per-sample arrays, alone or against a number form, wedges
+    # through the loop; each sample agrees with the plan of its numbers
+    rng = np.random.default_rng(5)
+    space = GeneratorSpace.base(4)
+    for _ in range(20):
+        a = _random_form(rng, space, 10)
+        b = _random_form(rng, space, 10)
+        samples = rng.standard_normal((len(b.terms), 3)) + 1j * rng.standard_normal((len(b.terms), 3))
+        batch = ExtForm(space, {key: c * samples[i] for i, (key, c) in enumerate(b.terms.items())})
+        for x, y in ((a, batch), (batch, a), (batch, batch)):
+            assert_same_terms(x.wedge(y), ExtForm(space, _loop_wedge(x.terms, y.terms)))
+        mixed = a.wedge(batch)
+        scale = sum(map(abs, a.terms.values())) * sum(np.abs(c).max() for c in batch.terms.values())
+        for j in range(3):
+            each = a.wedge(ExtForm(space, {key: c[j] for key, c in batch.terms.items()}))
+            for key in set(mixed.terms) | set(each.terms):
+                got = mixed.terms[key][j] if key in mixed.terms else 0.0
+                assert abs(got - each.terms.get(key, 0.0)) <= 1e-15 * scale
+
+
+def test_wedge_plans_are_read_only_and_bounded():
+    space = GeneratorSpace.base(4)
+    cf = chern_forms(base_curvature_matrix(griffiths_sample(4, 4, terms=4, seed=2), space))
+    cf[1].wedge(cf[2])
+    li, ri, neg, bins, keys = formlab._PLANS.get((tuple(cf[1].terms), tuple(cf[2].terms)), None)
+    for array in (li, ri, neg, bins):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert keys == tuple(cf[1].wedge(cf[2]).terms)
+    assert formlab._PLANS.size <= formlab.WEDGE_PLAN_BYTES
+    # a product of few term pairs takes the loop and leaves no plan
+    cf[1].wedge(cf[0])
+    assert (tuple(cf[1].terms), tuple(cf[0].terms)) not in formlab._PLANS._items
+
+
+def test_byte_lru_keeps_the_most_recent_values_within_its_bound():
+    cache = _ByteLRU(10)
+    built = []
+
+    def value(name, nbytes):
+        return lambda: built.append(name) or (name, nbytes)
+
+    assert cache.get("a", value("a", 4)) == "a"
+    assert cache.get("b", value("b", 4)) == "b"
+    assert cache.get("a", value("a", 4)) == "a"  # a hit, now the most recent
+    assert cache.get("c", value("c", 4)) == "c"  # evicts b, the least recent
+    assert cache.get("big", value("big", 11)) == "big"  # returned, not kept
+    assert list(cache._items) == ["a", "c"] and cache.size == 8
+    assert cache.get("b", value("b", 4)) == "b"
+    assert built == ["a", "b", "c", "big", "b"]
+
+
+def _drawn_values(gamma, samples, seed):
+    """positivity_values as it was before its frames were cached: draw the
+    frames, evaluate, calibrate."""
+    k, n = gamma.bidegree()[0], len(gamma.space)
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((samples, k, n)) + 1j * rng.standard_normal((samples, k, n))
+    return (_kappa(k) * _evaluate_on_frame(gamma, frames)).real
+
+
+def test_cached_frames_give_the_drawn_values(monkeypatch):
+    monkeypatch.setattr(formlab, "_FRAMES", _ByteLRU(FRAME_CACHE_BYTES))
+    space = GeneratorSpace.base(4)
+    cf = chern_forms(base_curvature_matrix(griffiths_sample(4, 4, terms=4, seed=9), space))
+    forms = [cf[1], cf[2], cf[1] * cf[2] - cf[3], cf[4]]
+    # cold, warm, and interleaved over k and seed: each call equals a fresh draw
+    calls = [(gamma, seed) for seed in (3, 4) for gamma in forms] + [(forms[1], 3), (forms[0], 4), (forms[3], 3)]
+    for gamma, seed in calls + calls:
+        got = positivity_values(gamma, samples=300, seed=seed)
+        assert _bits(got) == _bits(_drawn_values(gamma, 300, seed))
+    assert len(formlab._FRAMES._items) == 8
+    minors, conj = _random_frame_minors(2, 4, 300, 3)
+    for array in (*minors.values(), *conj.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # a Generator draws new frames on every call, as it did uncached
+    rng = np.random.default_rng(3)
+    assert not np.array_equal(positivity_values(cf[1], 50, rng), positivity_values(cf[1], 50, rng))
+
+
+def test_frame_cache_stays_within_its_bound(monkeypatch):
+    # 10^5 frames of 2-planes in C^4: 6 minors and 6 conjugates of 1.6 MB
+    # each, so two seeds do not fit in the bound and the older is evicted
+    monkeypatch.setattr(formlab, "_FRAMES", _ByteLRU(FRAME_CACHE_BYTES))
+    space = GeneratorSpace.base(4)
+    c2 = chern_forms(base_curvature_matrix(griffiths_sample(4, 4, terms=4, seed=9), space))[2]
+    for seed in (1, 2, 1):
+        positivity_values(c2, samples=10**5, seed=seed)
+        assert formlab._FRAMES.size <= FRAME_CACHE_BYTES
+    assert list(formlab._FRAMES._items) == [(2, 4, 10**5, 1)]
+    assert formlab._FRAMES.size == 12 * 16 * 10**5
