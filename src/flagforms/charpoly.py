@@ -8,66 +8,31 @@ sum(i * a_i).  The stored order for serialization is graded lexicographic.
 
 Terms are read-only mappings, so the polynomials that ``schur``,
 ``gen_schur`` and ``segre_polys`` keep in module caches cannot be changed by
-a caller.  A product of two polynomials runs on packed monomials: each
-exponent tuple becomes one int with an exponent in each little-endian field
-of equal byte width, so multiplying monomials is adding ints, and the
-coefficients are integer numerators over one common denominator per
-operand (Monagan & Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", CASC 2007).  The product keeps that
-packed form, with a bound on its largest exponent, and builds its terms
-only when they are read: a chain of products, such as a power or the root
-expansion of a monomial, packs once and never unpacks between steps, and
-the push-forward reads the exponents of its input from the packed keys.
+a caller.  A product of two polynomials is one loop over their terms: the
+exponent tuples are added, and the coefficients are multiplied as integer
+numerators over one common denominator per operand, so that only the
+result's coefficients are divided, once.
 
-A Schur polynomial S_sigma is the Jacobi-Trudi determinant of size
-len(sigma).  A generalized Schur polynomial of a partition is, up to sign,
-the Schur polynomial of the conjugate partition, so it is evaluated at the
-smaller of the two sizes.  Schur coordinates need no linear solve: the
-Schur basis is unitriangular against the monomials c^mu = prod c_{mu_i} in
-lexicographic order (Macdonald, Symmetric Functions and Hall Polynomials,
-I.6), so one sweep peels off each S_sigma at its leading monomial c^sigma.
+A Schur polynomial S_sigma has two Jacobi-Trudi determinants:
+det(c_{sigma_i + j - i}) of size len(sigma) in the c_j, and (-1)^{|sigma|}
+times det(s_{sigma'_i + j - i}) of size sigma_1 in the Segre polynomials,
+which is the generalized Schur polynomial of the conjugate partition.
+``schur`` and ``gen_schur`` both evaluate the smaller of the two.  Schur
+coordinates need no linear solve: the Schur basis is unitriangular against
+the monomials c^mu = prod c_{mu_i} in lexicographic order (Macdonald,
+Symmetric Functions and Hall Polynomials, I.6), so one sweep peels off each
+S_sigma at its leading monomial c^sigma.
 """
 
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
 from math import gcd, lcm
-from operator import attrgetter
+from operator import add, attrgetter
 from types import MappingProxyType
-
-import numpy as np
 
 from .combinat import Partition, laplace_minors, partitions_of, perm_sign
 
 _denominator = attrgetter("denominator")
-
-
-def _pack(exps, width):
-    """Packed keys of exponent tuples, each exponent in a little-endian
-    field of ``width`` bytes.  One-byte fields, the common case, are the
-    bytes of the tuple itself."""
-    if width == 1:
-        return [int.from_bytes(bytes(e), "little") for e in exps]
-    return [
-        int.from_bytes(b"".join([a.to_bytes(width, "little") for a in e]), "little")
-        for e in exps
-    ]
-
-
-def _field_width(top):
-    """Bytes per packed field for exponents up to ``top``: room for twice
-    ``top``, so that adding two keys never carries into the next field."""
-    return max(1, ((2 * top).bit_length() + 7) // 8)
-
-
-def _unpack(keys, r, width):
-    """Exponent tuples of packed keys; inverse of ``_pack``."""
-    size = r * width
-    if width == 1:
-        return [tuple(k.to_bytes(size, "little")) for k in keys]
-    return [
-        tuple(int.from_bytes(b[i : i + width], "little") for i in range(0, size, width))
-        for b in (k.to_bytes(size, "little") for k in keys)
-    ]
 
 
 def _over(numerators, den):
@@ -97,7 +62,7 @@ class ChernPoly:
     c_3 has terms {(3,0,0): 1, (1,1,0): 2, (0,0,1): -1}.
     """
 
-    __slots__ = ("r", "_terms", "_packing", "_numer")
+    __slots__ = ("r", "_terms", "_numer")
 
     #: variable name stem, and the key of the exponent lists in JSON
     _var, _exps_key = "c", "exps"
@@ -123,20 +88,12 @@ class ChernPoly:
                 if coeff != 0:
                     clean[exps] = coeff
         self._terms = MappingProxyType(clean)
-        self._packing = self._numer = None
+        self._numer = None
 
     @property
     def terms(self):
-        """The read-only terms, in order.  A product holds only its packing
-        until this is first read; the terms built then are int where the
-        coefficient is integral and Fraction otherwise."""
-        terms = self._terms
-        if terms is None:
-            width, keys, nums, den, _ = self._packing
-            terms = self._terms = MappingProxyType(
-                dict(zip(_unpack(keys, self.r, width), _over(nums, den)))
-            )
-        return terms
+        """The read-only terms, in order."""
+        return self._terms
 
     @classmethod
     def _wrap(cls, r, terms):
@@ -144,69 +101,13 @@ class ChernPoly:
         out = cls.__new__(cls)
         out.r = r
         out._terms = MappingProxyType(terms)
-        out._packing = out._numer = None
+        out._numer = None
         return out
-
-    @classmethod
-    def _from_packing(cls, r, packing):
-        """An instance holding only a packing, its terms not yet built."""
-        out = cls.__new__(cls)
-        out.r = r
-        out._terms = None
-        out._packing = packing
-        out._numer = packing[2:4]
-        return out
-
-    def _packed(self, width=1):
-        """(width, keys, numerators, denominator, top) of the terms, in order.
-
-        The coefficients are integer numerators over one common denominator.
-        The keys pack the exponents in fields of ``width`` or more bytes,
-        wide enough for twice ``top``, an upper bound on the largest
-        exponent, so that adding two keys never carries from one field into
-        the next.  The narrowest such packing is cached: the terms cannot
-        change.  A product's packing holds its keys in the width of its
-        operands and the sum of their bounds; it is repacked only when that
-        sum needs a wider field.
-        """
-        packing = self._packing
-        if packing is None:
-            terms = self._terms
-            top = max(chain.from_iterable(terms), default=0)
-            natural = _field_width(top)
-            packing = self._packing = (natural, _pack(terms, natural)) + self._numerators() + (top,)
-        elif packing[0] < _field_width(packing[4]):
-            packing = self._packing = self._repacked(packing, _field_width(packing[4]))
-        if width > packing[0]:
-            return self._repacked(packing, width)
-        return packing
-
-    def _repacked(self, packing, width):
-        """The packing with its keys in fields of ``width`` bytes."""
-        old, keys = packing[:2]
-        exps = self._terms if self._terms is not None else _unpack(keys, self.r, old)
-        return (width, _pack(exps, width)) + packing[2:]
-
-    def _exponent_matrix(self):
-        """(exps, numerators, denominator): the exponents as a (terms x r)
-        int64 array, read from the packed keys in one buffer without
-        building the terms, and the coefficients as ``_numerators`` gives
-        them, in term order.  The fields are read at a numpy width of 1, 2,
-        4 or 8 bytes; one of w bytes holds twice the largest exponent, so
-        the exponents fit int64."""
-        width = 1 << (self._packed()[0] - 1).bit_length()
-        width, keys, nums, den, _ = self._packed(width)
-        size = self.r * width
-        exps = np.frombuffer(
-            b"".join([k.to_bytes(size, "little") for k in keys]), dtype=f"<u{width}"
-        )
-        return exps.reshape(len(keys), self.r).astype(np.int64), nums, den
 
     def _numerators(self):
         """(numerators, denominator): the coefficients as integer numerators
-        over their least common denominator, in term order.  A product reads
-        them from its packing; otherwise they are cached apart from the
-        packing, so that a caller that needs no keys packs none."""
+        over their least common denominator, in term order, cached as the
+        terms cannot change."""
         numer = self._numer
         if numer is None:
             coeffs = self._terms.values()
@@ -287,29 +188,29 @@ class ChernPoly:
                 self.r, {e: _norm_coeff(c * other) for e, c in self.terms.items()}
             )
         self._check_rank(other)
-        a = self._packed()
-        b = other._packed()
-        if a[0] != b[0]:
-            a, b = self._packed(b[0]), other._packed(a[0])
-        width, keys1, nums1, den1, top1 = a
-        _, keys2, nums2, den2, top2 = b
+        nums1, den1 = self._numerators()
+        nums2, den2 = other._numerators()
+        right = list(zip(other.terms, nums2))
         acc = {}
         get = acc.get
-        for k1, n1 in zip(keys1, nums1):
-            for k2, n2 in zip(keys2, nums2):
-                k = k1 + k2
-                new = get(k, 0) + n1 * n2
+        for e1, n1 in zip(self.terms, nums1):
+            for e2, n2 in right:
+                e = tuple(map(add, e1, e2))
+                new = get(e, 0) + n1 * n2
                 # a sum that cancels drops its key, so a later term of that
-                # monomial goes to the end, as in the tuple-key product
+                # monomial goes to the end
                 if new:
-                    acc[k] = new
+                    acc[e] = new
                 else:
-                    del acc[k]
+                    del acc[e]
         nums, den = acc.values(), den1 * den2
         if den != 1:
             common = gcd(den, *nums)
             nums, den = [n // common for n in nums], den // common
-        return self._from_packing(self.r, (width, acc.keys(), nums, den, top1 + top2))
+            acc = dict(zip(acc, _over(nums, den)))
+        out = self._wrap(self.r, acc)
+        out._numer = (nums, den)
+        return out
 
     __rmul__ = __mul__
 
@@ -337,7 +238,7 @@ class ChernPoly:
         return hash((self.r, frozenset(self.terms.items())))
 
     def is_zero(self):
-        return not (self._packing[1] if self._terms is None else self._terms)
+        return not self.terms
 
     def evaluate(self, images, const):
         """The polynomial with each c_j replaced by ``images[j]`` (j >= 1;
@@ -467,9 +368,6 @@ def _chern_entry(r, idx):
     return ChernPoly.gen(r, idx)
 
 
-_SCHUR_CACHE = {}
-
-
 def schur(sigma, r):
     """Schur polynomial S_sigma as the Jacobi-Trudi determinant
     det(c_{sigma_i + j - i}) of size len(sigma), with c_0 = 1 and c_s = 0
@@ -478,23 +376,29 @@ def schur(sigma, r):
     Padding sigma with zero parts, to size |sigma| or any other, adds rows
     c_{j-i}: they are 0 left of the diagonal and 1 on it, so the padded
     matrix is block upper triangular with a unitriangular corner, and its
-    determinant is this one."""
-    sigma = Partition(sigma)
-    key = (sigma.parts, r)
-    cached = _SCHUR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    parts = sigma.parts
+    determinant is this one.  Where len(sigma) > sigma_1 it is evaluated as
+    (-1)^{|sigma|} det(s_{sigma'_i + j - i}), the Segre determinant of the
+    conjugate partition, of size sigma_1 (Macdonald, Symmetric Functions and
+    Hall Polynomials, I (3.4)-(3.5))."""
+    return _schur(Partition(sigma).parts, r)
+
+
+@lru_cache(maxsize=1 << 12)
+def _schur(parts, r):
+    if parts and len(parts) > parts[0]:
+        result = _segre_determinant(Partition(parts).conjugate().parts, r)
+        return -result if sum(parts) & 1 else result
+    return _chern_determinant(parts, r)
+
+
+def _chern_determinant(parts, r):
+    """det(c_{parts_i + j - i}) of size len(parts), not cached: the Chern
+    side of ``schur``, and the first route of the Jacobi-Trudi check."""
     size = len(parts)
     rows = [
         [_chern_entry(r, parts[i] + j - i) for j in range(size)] for i in range(size)
     ]
-    result = det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
-    _SCHUR_CACHE[key] = result
-    return result
-
-
-_GEN_SCHUR_CACHE = {}
+    return det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
 
 
 def gen_schur(sigma, r):
@@ -510,23 +414,19 @@ def gen_schur(sigma, r):
     only evaluates partitions; on other sequences the Segre determinant is
     the reference that the straightening rule is tested against.
     """
-    sigma = tuple(int(x) for x in sigma)
-    key = (sigma, r)
-    cached = _GEN_SCHUR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _gen_schur(tuple(int(x) for x in sigma), r)
+
+
+@lru_cache(maxsize=1 << 12)
+def _gen_schur(sigma, r):
     if min(sigma, default=0) >= 0 and all(a >= b for a, b in zip(sigma, sigma[1:])):
         # trailing zero parts add unit diagonal blocks
         lam = Partition(sigma)
         if lam.parts and lam.parts[0] <= len(lam.parts):
             result = schur(lam.conjugate(), r)
-            result = -result if lam.weight() & 1 else result
-        else:
-            result = _segre_determinant(lam.parts, r)
-    else:
-        result = _segre_determinant(sigma, r)
-    _GEN_SCHUR_CACHE[key] = result
-    return result
+            return -result if lam.weight() & 1 else result
+        return _segre_determinant(lam.parts, r)
+    return _segre_determinant(sigma, r)
 
 
 def _segre_determinant(sigma, r):

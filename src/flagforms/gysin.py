@@ -17,8 +17,7 @@ Three routes are implemented:
   built, applies the determinantal rule monomial by monomial: the
   coefficient b_lambda of xi^lambda contributes
   b_lambda * gen_schur(reverse(lambda - nu)), where nu is the sequence
-  determined by the dimension sequence.  The exponents lambda are read
-  from the packed keys of the input.  This route is the test oracle of
+  determined by the dimension sequence.  This route is the test oracle of
   the first.
 
   Both routes share one tail.  An index sequence with two equal shifted
@@ -45,10 +44,8 @@ rule on coarser flags.
 
 import warnings
 from functools import lru_cache, reduce
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, product
 from operator import mul, sub
-
-import numpy as np
 
 from .charpoly import (
     ChernPoly,
@@ -93,11 +90,9 @@ def pushforward_dp(F, rho):
     and anything else is pushed formally (with a warning), which matters
     for the oracle comparison on flags with blocks of size above one.
 
-    The exponents of the monomials are read from F's packed keys as one
-    (terms x r) integer matrix, and a monomial whose index sequence sigma
-    has two equal shifted entries sigma_i - i vanishes and is dropped
-    first, by comparing the columns of shifted entries pairwise.  Both
-    routes end in ``_push_shifted``.
+    A monomial whose index sequence sigma has two equal shifted entries
+    sigma_i - i vanishes and is dropped first.  Both routes end in
+    ``_push_shifted``.
     """
     rho = as_dimension_sequence(rho)
     r = rho.r
@@ -114,12 +109,13 @@ def pushforward_dp(F, rho):
             "formally, monomial by monomial",
             stacklevel=2,
         )
-    exps, nums, den = F._exponent_matrix()
-    shifted = exps[:, ::-1] - offsets
-    distinct = np.ones(len(exps), dtype=bool)
-    for i, j in combinations(range(r), 2):
-        distinct &= shifted[:, i] != shifted[:, j]
-    return _push_shifted(shifted[distinct].tolist(), compress(nums, distinct.tolist()), den, r)
+    nums, den = F._numerators()
+    rows = {}
+    for exps, num in zip(F.terms, nums):
+        row = tuple(map(sub, exps[::-1], offsets))
+        if len(set(row)) == r:
+            rows[row] = num
+    return _push_shifted(rows, rows.values(), den, r)
 
 
 def _push_shifted(rows, nums, den, r):

@@ -33,9 +33,9 @@ class RootPoly(ChernPoly):
     (no Chern weighting), coefficients exact rationals.
 
     ``_quotient`` is set only on an ``expand_expression`` result, to
-    (rho, quotient form).  Such a polynomial holds neither terms nor
-    packing until one of them is read; they are then built from the
-    quotient form once, and it is symmetric in the blocks of rho.
+    (rho, quotient form).  Such a polynomial holds no terms until they or
+    their numerators are read; they are then built from the quotient form
+    once, and it is symmetric in the blocks of rho.
     """
 
     __slots__ = ("_quotient",)
@@ -50,14 +50,14 @@ class RootPoly(ChernPoly):
         """The unbuilt root expansion of a quotient form over rho."""
         out = cls.__new__(cls)
         out.r = quotient.r
-        out._terms = out._packing = out._numer = None
+        out._terms = out._numer = None
         out._quotient = (rho.rho, quotient)
         return out
 
     def _build(self):
         """Build the root terms of an unbuilt expansion, c_k of a block
         becoming e_k of its negated roots."""
-        if self._terms is None and self._packing is None:
+        if self._terms is None:
             rho, quotient = self._quotient
             r = self.r
             images = [None] * (r + 1)
@@ -65,23 +65,19 @@ class RootPoly(ChernPoly):
                 for k, i in enumerate(block, start=1):
                     images[i] = _elementary(r, block, k)
             built = quotient.evaluate(images, lambda q: RootPoly.const(r, q))
-            self._terms, self._packing, self._numer = built._terms, built._packing, built._numer
+            self._terms, self._numer = built._terms, built._numer
 
     @property
     def terms(self):
         self._build()
         return super().terms
 
-    def _packed(self, width=1):
-        self._build()
-        return super()._packed(width)
-
     def _numerators(self):
         self._build()
         return super()._numerators()
 
     def is_zero(self):
-        if self._terms is None and self._packing is None:
+        if self._terms is None:
             # the e_k of the blocks are algebraically independent, so the
             # substitution maps only zero to zero
             return self._quotient[1].is_zero()
@@ -262,8 +258,8 @@ def expand_expression(expr, rho):
     """Expand a polynomial expression in Chern classes of universal bundles
     into a RootPoly; ring homomorphism on expressions.
 
-    The expression is evaluated in its quotient form, where products stay
-    packed; the root terms are built from it when they are first read."""
+    The expression is evaluated in its quotient form; the root terms are
+    built from it when they are first read."""
     if isinstance(expr, str):
         expr = exprs.parse(expr)
     rho = as_dimension_sequence(rho)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_properties import DERANDOMIZED
+from test_properties import DERANDOMIZED, reference_product
 
 from flagforms import charpoly
 from flagforms.charpoly import (
@@ -155,12 +155,26 @@ def reference_segre_determinant(parts, r):
     return charpoly.det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
 
 
+def reference_chern_determinant(parts, r):
+    """det(c_{sigma_i + j - i}) of size len(sigma): the route that the
+    smaller determinant replaced in ``schur`` on tall partitions."""
+    k = len(parts)
+    rows = [[charpoly._chern_entry(r, parts[i] + j - i) for j in range(k)] for i in range(k)]
+    return charpoly.det_poly(rows, ChernPoly.one(r), ChernPoly.zero(r))
+
+
 def test_gen_schur_equals_the_segre_determinant_at_the_smaller_size(monkeypatch):
-    # both branches: the conjugate Jacobi-Trudi determinant where
-    # lambda_1 <= len(lambda), the Segre one otherwise
+    # both branches of gen_schur and of schur: the Jacobi-Trudi determinant
+    # in the c_j where sigma_1 >= len(sigma), the Segre one otherwise
     references = {
         (sigma.parts, r): reference_segre_determinant(sigma.parts, r)
         for r in range(1, 8)
+        for k in range(0, 9)
+        for sigma in partitions_of(k)
+    }
+    chern_references = {
+        (sigma.parts, r): reference_chern_determinant(sigma.parts, r)
+        for r in range(1, 5)
         for k in range(0, 9)
         for sigma in partitions_of(k)
     }
@@ -172,17 +186,21 @@ def test_gen_schur_equals_the_segre_determinant_at_the_smaller_size(monkeypatch)
         return det_poly(rows, one, zero)
 
     monkeypatch.setattr(charpoly, "det_poly", recorded)
-    monkeypatch.setattr(charpoly, "_SCHUR_CACHE", {})
-    monkeypatch.setattr(charpoly, "_GEN_SCHUR_CACHE", {})
-    for (parts, r), want in references.items():
+    for evaluate, cases in ((gen_schur, references), (schur, chern_references)):
+        for (parts, r), want in cases.items():
+            charpoly._schur.cache_clear()
+            charpoly._gen_schur.cache_clear()
+            sizes.clear()
+            assert evaluate(parts, r) == want, (evaluate, parts, r)
+            if parts:
+                assert max(sizes, default=0) <= min(len(parts), parts[0]), (parts, r, sizes)
+    # a long first row, and a long first column, stay 1 x 1 Segre evaluations
+    for evaluate, parts, r in ((gen_schur, (30,), 8), (schur, (1,) * 40, 2)):
+        charpoly._schur.cache_clear()
+        charpoly._gen_schur.cache_clear()
         sizes.clear()
-        assert gen_schur(parts, r) == want, (parts, r)
-        if parts:
-            assert max(sizes, default=0) <= min(len(parts), parts[0]), (parts, r, sizes)
-    # a long first row stays a 1 x 1 Segre evaluation
-    sizes.clear()
-    assert gen_schur((30,), 8) == segre_polys(8, 30)[30]
-    assert sizes == [1]
+        assert evaluate(parts, r) == segre_polys(r, sum(parts))[sum(parts)]
+        assert sizes == [1]
 
 
 def _monomials_of_degree(r, k):
@@ -372,7 +390,7 @@ def test_gen_schur_of_embedded_conjugate_matches_conjugate():
 def test_determinant_leaves_no_reference_cycle(monkeypatch):
     # each call's memo of minors is freed when the call returns, not at the
     # next cyclic garbage collection
-    monkeypatch.setattr(charpoly, "_SCHUR_CACHE", {})
+    charpoly._schur.cache_clear()
     gc.collect()
     gc.disable()
     try:
@@ -380,36 +398,6 @@ def test_determinant_leaves_no_reference_cycle(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def reference_product(p, q):
-    """The terms dict of p * q as ``ChernPoly.__mul__`` built it for every
-    product before products kept their packing: both operands packed from
-    their terms, in the wider of the two fields that hold twice their
-    largest exponents, the numerators multiplied over the product of the
-    common denominators, and the keys unpacked at once.  A sum that cancels
-    drops its key, so a later term of that monomial goes to the end."""
-
-    def packing(poly, width):
-        den = math.lcm(*(Fraction(v).denominator for v in poly.terms.values()))
-        nums = [int(v * den) for v in poly.terms.values()]
-        return charpoly._pack(poly.terms, width), nums, den
-
-    top = max(itertools.chain.from_iterable(itertools.chain(p.terms, q.terms)), default=0)
-    width = max(1, ((2 * top).bit_length() + 7) // 8)
-    keys1, nums1, den1 = packing(p, width)
-    keys2, nums2, den2 = packing(q, width)
-    acc = {}
-    for k1, n1 in zip(keys1, nums1):
-        for k2, n2 in zip(keys2, nums2):
-            k = k1 + k2
-            new = acc.get(k, 0) + n1 * n2
-            if new:
-                acc[k] = new
-            else:
-                del acc[k]
-    coeffs = charpoly._over(acc.values(), den1 * den2)
-    return dict(zip(charpoly._unpack(acc, p.r, width), coeffs))
 
 
 def assert_same_terms(poly, terms):
@@ -438,8 +426,7 @@ def chern_polys(draw, r, top):
 @st.composite
 def product_chains(draw):
     """Rank and three factors: small exponents, so that monomials collide and
-    cancel, or exponents up to 100, so that a chain crosses the one-byte
-    field at 127 -> 128 and wraps without a repack."""
+    cancel, or exponents up to 100, so that a chain's exponents pass 255."""
     r = draw(st.sampled_from([1, 2, 3, 9]))
     top = draw(st.sampled_from([2, 100]))
     return r, [draw(chern_polys(r, top)) for _ in range(3)]
@@ -451,8 +438,6 @@ def test_products_equal_the_dict_building_product(chain):
     r, (p, q, s) = chain
     pq = p * q
     pqs = pq * s
-    # the intermediate product was multiplied without building its terms
-    assert pq._terms is None and pqs._terms is None
     assert_least_common_denominator(pqs)
     expected_pq = reference_product(p, q)
     assert_same_terms(pqs, reference_product(ChernPoly._wrap(r, expected_pq), s))
@@ -468,11 +453,11 @@ def test_products_equal_the_dict_building_product(chain):
         # Fraction coefficients whose product has integral coefficients only
         (2, [{(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)}, {(0, 1): 2, (1, 0): 4}]),
         (2, [{(1, 0): Fraction(1, 6)}, {(0, 1): Fraction(3, 4), (1, 1): 6}]),
-        # one-byte fields crossing 127 -> 128, then past 255 in a chain
+        # exponents passing 127, then 255, in a chain
         (2, [{(127, 0): 1, (0, 1): 1}, {(1, 0): 1}, {(127, 3): -1}]),
         (2, [{(100, 0): 1, (0, 1): 1}, {(100, 0): 1}, {(100, 0): 1}, {(100, 0): 1}]),
         (1, [{(64,): 1}] * 6),
-        # keys above 64 bits
+        # nine variables, exponents past 255
         (9, [{(1,) * 9: 1, (0,) * 8 + (2,): Fraction(1, 3)}] * 3),
         (9, [{(120,) * 9: 2}, {(8,) * 9: Fraction(1, 2)}, {(130,) * 9: 1}]),
     ],
@@ -483,13 +468,12 @@ def test_product_chains_equal_the_dict_building_product(r, factors):
     for poly in polys[1:]:
         product = product * poly
         expected = ChernPoly._wrap(r, reference_product(expected, poly))
-    assert product._terms is None
     assert_least_common_denominator(product)
     assert_same_terms(product, expected.terms)
 
 
 def test_power_across_the_one_byte_field_equals_repeated_products():
-    # the squares of a power double their exponent bound up to 128
+    # the squares of a power double their exponents up to 128
     base = c(2, 1) - Fraction(1, 2) * c(2, 2)
     expected = ChernPoly.one(2)
     for _ in range(130):

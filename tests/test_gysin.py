@@ -301,23 +301,22 @@ def vanishing_monomial(rho, big):
     return mono(r, exps)
 
 
-PACKED_PUSH_CASES = [
-    # r <= 8, one-byte fields
+MONOMIAL_PUSH_CASES = [
     ((0, 1, 4), "c1(Q1)^3*c2(Q1)^2"),
     ((0, 1, 2, 4), "2/3*c1(U2/U1)^3*c1(U1)^2*c2(E) - 5/4*c1(U1)^4*c2(U3/U2)*c1(E)"),
     ((0, 2, 5), "7/3*c1(Q2)^5*c2(Q2)^2*c3(Q2)"),
     ((0, 2, 5, 7), "3/2*c1(U2/U1)^10*c2(U1)^5*c1(E)^2"),
     ((0, 2, 5, 8), "c1(U2/U1)^6*c2(U1)^4*c1(E)^3"),
-    # a power that crosses 127 -> 128 and is pushed from two-byte fields
+    # exponents past 127
     ((0, 1, 2), "c1(Q1)^127*c1(E)^2"),
     ((0, 1, 2), "c1(Q1)^129 - 1/2*c2(E)^64*c1(E)"),
-    # r = 9: keys above 64 bits
+    # r = 9
     ((0, 8, 9), "c1(Q8)^10 + 5*c2(E)*c1(Q8)^8 - c1(U1)*c1(Q8)^9"),
     ((0, 1, 9), "c1(U1)^2*c1(Q1)^7"),
 ]
 
 
-@pytest.mark.parametrize("rho, text", PACKED_PUSH_CASES)
+@pytest.mark.parametrize("rho, text", MONOMIAL_PUSH_CASES)
 def test_push_from_packed_exponents_equals_the_tuple_loop(monkeypatch, rho, text):
     straightened = []
 
@@ -339,9 +338,9 @@ def test_push_from_packed_exponents_equals_the_tuple_loop(monkeypatch, rho, text
 
 
 @pytest.mark.parametrize("r", [2, 9])
-def test_push_of_two_byte_fields_equals_the_tuple_loop(r):
-    # caller-built input over the complete flag: monomials far out in
-    # two-byte fields, which vanish, beside the reference monomial xi^nu,
+def test_push_of_large_exponents_equals_the_tuple_loop(r):
+    # caller-built input over the complete flag: monomials with exponents
+    # past 127, which vanish, beside the reference monomial xi^nu,
     # whose push is 1, and at r = 2 a monomial whose push does not vanish
     rho = complete_sequence(r)
     F = RootPoly(r, {tuple(nu_from_rho(rho)): 3})
@@ -413,7 +412,7 @@ def test_block_schur_push_equals_the_monomial_push(rho):
         text = random_expression(rng, rho)
         F = expand_expression(text, rho)
         pushed = pushforward_dp(F, rho)
-        assert F._terms is None and F._packing is None
+        assert F._terms is None
         eager = eager_expansion(text, rho)
         assert F.is_zero() == eager.is_zero()
         assert F._terms is None

@@ -174,8 +174,9 @@ def test_chern_poly_evaluated_at_constants_is_a_number(p, x):
 
 
 def reference_product(p, q):
-    """The product term by term on exponent tuples, in the order of the
-    packed product: the route that the packed product replaced."""
+    """The terms of p * q, one pair of exponent tuples at a time: a sum that
+    cancels drops its key, so a later term of that monomial goes to the
+    end, and an integral coefficient is an int."""
     terms = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
@@ -185,11 +186,10 @@ def reference_product(p, q):
                 terms.pop(e, None)
             else:
                 terms[e] = new
-    return terms
+    return {e: int(c) if Fraction(c).denominator == 1 else c for e, c in terms.items()}
 
 
-#: exponents on both sides of every packing width: a field of w bytes holds
-#: exponents up to 2**(8w - 1) - 1, whose sums stay below 2**(8w)
+#: small exponents, whose monomials collide, and large ones up to past 2**63
 EXPONENTS = st.one_of(
     st.integers(0, 3),
     st.sampled_from([127, 128, 255, 256, 32767, 32768, 2**31 - 1, 2**31, 2**63 - 1, 2**63]),
