@@ -245,7 +245,9 @@ class ChernPoly:
         ``images[0]`` is not read), in any commutative ring.  ``const`` maps
         a coefficient to a ring element, as in ``exprs.evaluate``."""
         acc = const(0)
-        for exps, coeff in self.terms.items():
+        # in graded order, so that a float value depends on the polynomial
+        # alone, not on the order in which its terms were built
+        for exps, coeff in self.sorted_terms():
             piece = const(coeff)
             for j, a in enumerate(exps, start=1):
                 for _ in range(a):
@@ -335,9 +337,6 @@ def det_poly(rows, one, zero):
     return laplace_minors(rows, len(rows), one, zero).get((1 << len(rows)) - 1, zero)
 
 
-_SEGRE_CACHE = {}
-
-
 def segre_polys(r, max_deg):
     """Segre polynomials s_0..s_max_deg of a rank-r bundle.
 
@@ -347,17 +346,17 @@ def segre_polys(r, max_deg):
     """
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
-    cached = _SEGRE_CACHE.get(r, [])
-    if len(cached) > max_deg:
-        return cached[: max_deg + 1]
-    segre = list(cached) or [ChernPoly.one(r)]
-    for k in range(len(segre), max_deg + 1):
-        acc = ChernPoly.zero(r)
-        for i in range(1, min(k, r) + 1):
-            acc = acc + ChernPoly.gen(r, i) * segre[k - i]
-        segre.append(-acc)
-    _SEGRE_CACHE[r] = segre
-    return segre[: max_deg + 1]
+    # bottom up, so each s_k finds s_{k-1}..s_{k-r} cached
+    return [_segre(r, k) for k in range(max_deg + 1)]
+
+
+@lru_cache(maxsize=1 << 12)
+def _segre(r, k):
+    """s_k = -(c_1 s_{k-1} + ... + c_r s_{k-r})."""
+    acc = ChernPoly.zero(r)
+    for i in range(1, min(k, r) + 1):
+        acc = acc + ChernPoly.gen(r, i) * _segre(r, k - i)
+    return -acc if k else ChernPoly.one(r)
 
 
 def _chern_entry(r, idx):
@@ -409,10 +408,10 @@ def gen_schur(sigma, r):
     that total is negative (every determinant term then hits a negative
     Segre index).  On a partition lambda it equals (-1)^{|lambda|}
     S_{lambda'} (Macdonald, Symmetric Functions and Hall Polynomials,
-    I (3.4)-(3.5)), a determinant of size lambda_1 in the c_j, which is
-    taken from ``schur`` when lambda_1 <= len(lambda).  The push-forward
-    only evaluates partitions; on other sequences the Segre determinant is
-    the reference that the straightening rule is tested against.
+    I (3.4)-(3.5)), taken from ``schur``, which evaluates the smaller of
+    the two determinants.  The push-forward only evaluates partitions; on
+    other sequences the Segre determinant is the reference that the
+    straightening rule is tested against.
     """
     return _gen_schur(tuple(int(x) for x in sigma), r)
 
@@ -422,10 +421,8 @@ def _gen_schur(sigma, r):
     if min(sigma, default=0) >= 0 and all(a >= b for a, b in zip(sigma, sigma[1:])):
         # trailing zero parts add unit diagonal blocks
         lam = Partition(sigma)
-        if lam.parts and lam.parts[0] <= len(lam.parts):
-            result = schur(lam.conjugate(), r)
-            return -result if lam.weight() & 1 else result
-        return _segre_determinant(lam.parts, r)
+        result = schur(lam.conjugate(), r)
+        return -result if lam.weight() & 1 else result
     return _segre_determinant(sigma, r)
 
 

@@ -21,9 +21,9 @@ generator indices: z_1..z_n, then one zeta per admissible pair.  The
 finite-difference stencils (``_Stencils``) take the same index and shift
 generator a (and b) by its own step, every stencil of an audit in one call
 of the samples-last metric kernel (``_induced_metric``), which also serves
-``metric_universal``: elementwise arithmetic on length-N vectors over
-the frame entries that are not structurally zero, with the quotient
-metric as a Schur complement taken one pivot at a time.
+``metric_universal``: the Gram matrix of the bundle's frame columns and
+the Schur complement of its sub block, products and an inverse of small
+matrices, as in the transport.
 
 Per-sample arrays are laid out samples last: N fiber points are (d, N),
 and small matrices (rank, rank, ..., N), matrix axes first, so a product
@@ -40,7 +40,7 @@ the chunks would be distributed over workers.
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -123,14 +123,13 @@ class ChartPoint:
         return cls(np.zeros(chart.d, dtype=complex))
 
 
-_CHART_CACHE = {}
-
-
 def chart_for(spec, n):
-    key = (spec.rho.rho, n)
-    if key not in _CHART_CACHE:
-        _CHART_CACHE[key] = FlagChart(spec.rho, n)
-    return _CHART_CACHE[key]
+    return _chart(spec.rho.rho, n)
+
+
+@lru_cache(maxsize=256)
+def _chart(rho, n):
+    return FlagChart(rho, n)
 
 
 # -- frames and metrics ------------------------------------------------------
@@ -198,63 +197,30 @@ def _induced_metric(chart, spec, zeta, C=None, z=None):
     (d, N) array, one length-N vector per fiber coordinate, and z an
     (n, N) array of base offsets, or None when z = 0; returns (rk, rk, N).
 
-    Only the frame columns of the bundle's block and of its sub block
-    enter, and of those only the entries that are not structurally zero:
-    column a of V = I + zeta holds the 1 at row a and zeta_p at row
-    lam_p - 1 for every pair p with mu_p - 1 = a.  The ambient metric
-    delta - sum c[j,k] z_j conj(z_k) enters only when z is given.
-    The Gram matrix G = V^T He conj(V) is Hermitian, so only its upper
-    triangle is formed.  A proper quotient's metric is the Schur complement
-    A - B D^-1 B^H of the sub block D, taken one pivot at a time; D is a
-    Gram block, Hermitian positive definite, so no pivoting is needed.  A
-    point whose Gram matrix is not finite gives NaN.
+    Only the frame columns V of the bundle's block and of its sub block
+    enter, which are contiguous up to r, the block first.  Their Gram
+    matrix is G = V^T W with W = He conj(V), where the ambient metric
+    He = I - delta, delta = sum c[j,k] z_j conj(z_k), enters only when z
+    is given.  A proper quotient's metric is the Schur complement
+    A - B D^-1 B^H of the sub block D, a Gram block, Hermitian positive
+    definite.  A point whose Gram matrix is not finite gives NaN.
     """
     q_idx, s_idx = _bundle_slices(spec)
-    idx = q_idx + s_idx
-    col = {a: {a: 1.0} for a in idx}  # column a of V as {row: entry}
-    for p, (lam, mu) in enumerate(chart.pairs):
-        if mu - 1 in col:
-            col[mu - 1][lam - 1] = zeta[p]
-    if z is not None:
+    V = _frames(chart, zeta)[:, q_idx[0] :]
+    W = np.conj(V)
+    if z is not None and C.n:
         n, r = C.n, chart.r
-        zz = (z[:, None] * np.conj(z)[None, :]).reshape(n * n, z.shape[1])
-        delta = C.coeffs.reshape(n * n, r * r).T @ zz  # Delta[l, m] at row l * r + m
-    G = {}
-    for i, b in enumerate(idx):
-        # He conj(V) at column b, on the rows that columns a <= b hold
-        he = {l: np.conj(v) for l, v in col[b].items()}
-        if z is not None:
-            rows = set().union(*(col[a] for a in idx[: i + 1]))
-            he = {l: he.get(l, 0.0) - sum(delta[l * r + m] * v for m, v in he.items()) for l in rows}
-        for a in idx[: i + 1]:
-            G[a, b] = sum(col[a][l] * he[l] for l in sorted(col[a].keys() & he.keys()))
+        zz = (z[:, None] * np.conj(z)[None, :]).reshape(n * n, -1)
+        delta = _dot(C.coeffs.reshape(n * n, r * r).T, zz).reshape(r, r, -1)
+        W -= _dot(delta, W)
+    G = _dot(np.swapaxes(V, 0, 1), W)
+    rk = len(q_idx)
+    A, B = G[:rk, :rk], G[:rk, rk:]
+    H = A - _dot(_dot(B, _inverse(G[rk:, rk:])), _herm_t(B)) if s_idx else A
     # |G[a, b]|^2 <= G[a, a] G[b, b], so an entry that is not finite shows
     # on the diagonal
-    finite = np.isfinite(sum(G[a, a].real for a in idx))
-
-    rest = list(idx)
-    for k in s_idx:
-        rest.remove(k)
-        inv = 1 / G[k, k]
-        # column k and row k of G over the indices left: the quotient
-        # indices come before k, the sub-block indices left after it
-        col_k = {j: G[j, k] if j < k else np.conj(G[k, j]) for j in rest}
-        row_k = {j: np.conj(G[j, k]) if j < k else G[k, j] for j in rest}
-        for i_pos, i in enumerate(rest):
-            u = col_k[i] * inv
-            for j in rest[i_pos:]:
-                G[i, j] = G[i, j] - u * row_k[j]
-
-    rk = len(q_idx)
-    H = np.empty((rk, rk, zeta.shape[1]), dtype=complex)
-    for i, a in enumerate(q_idx):
-        H[i, i] = G[a, a]
-        for j, b in enumerate(q_idx[i + 1 :], i + 1):
-            H[i, j] = G[a, b]
-            H[j, i] = np.conj(G[a, b])
-    if not finite.all():
-        H = np.where(finite, H, np.nan)
-    return H
+    finite = np.isfinite(np.trace(G).real)
+    return H if finite.all() else np.where(finite, H, np.nan)
 
 
 def _samples_last(x, shape):

@@ -96,7 +96,7 @@ class GeneratorSpace:
         return f"GeneratorSpace({self.names!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _merge_sign(a, b):
     """Sign of sorting the concatenation of two disjoint ascending index
     sets (a then b) into ascending order.  Memoized: N generators give at
@@ -722,28 +722,24 @@ def griffiths_check(C, samples=2000, seed=0):
 
 # -- positivity of (k,k)-forms -----------------------------------------------
 
-_KAPPA_CACHE = {}
-
-
+@lru_cache(maxsize=64)
 def _kappa(k):
     """Modulus-one constant making evaluation of a positive (k,k)-form on a
     holomorphic k-frame positive real; calibrated on (sum_j i dz_j^dzbar_j)^k."""
     if k == 0:
         return 1.0 + 0j
-    if k not in _KAPPA_CACHE:
-        space = GeneratorSpace.base(k)
-        omega = ExtForm.zero(space)
-        for j in range(1, k + 1):
-            omega = omega + ExtForm.d(space, f"z{j}").wedge(
-                ExtForm.dbar(space, f"z{j}")
-            ) * 1j
-        cal = omega**k
-        frame = np.eye(k, dtype=complex)
-        val = _evaluate_on_frame(cal, frame[None, :, :])[0]
-        if abs(val) < 1e-12:
-            raise ArithmeticError("positivity calibration value vanished")
-        _KAPPA_CACHE[k] = np.conj(val) / abs(val)
-    return _KAPPA_CACHE[k]
+    space = GeneratorSpace.base(k)
+    omega = ExtForm.zero(space)
+    for j in range(1, k + 1):
+        omega = omega + ExtForm.d(space, f"z{j}").wedge(
+            ExtForm.dbar(space, f"z{j}")
+        ) * 1j
+    cal = omega**k
+    frame = np.eye(k, dtype=complex)
+    val = _evaluate_on_frame(cal, frame[None, :, :])[0]
+    if abs(val) < 1e-12:
+        raise ArithmeticError("positivity calibration value vanished")
+    return np.conj(val) / abs(val)
 
 
 def _frame_minors(frames):

@@ -328,28 +328,22 @@ def _oracle_raw(F, rho):
     return _symmetric_to_chern(quotient)
 
 
-_CALIBRATION_CACHE = {}
-
-
 def oracle_calibration_sign(rho):
     """The global sign making the symmetrizer agree with the determinantal
     rule on the reference monomial xi^nu (whose push-forward is 1)."""
+    return _calibration_sign(as_dimension_sequence(rho).rho)
+
+
+@lru_cache(maxsize=256)
+def _calibration_sign(rho):
     rho = as_dimension_sequence(rho)
-    if rho.rho not in _CALIBRATION_CACHE:
-        r = rho.r
-        nu = nu_from_rho(rho)
-        ref = RootPoly(r, {tuple(nu): 1})
-        raw = _oracle_raw(ref, rho)
-        if raw == ChernPoly.one(r):
-            sign = 1
-        elif raw == -ChernPoly.one(r):
-            sign = -1
-        else:
-            raise ArithmeticError(
-                f"calibration failed for rho={rho.rho}: reference push = {raw}"
-            )
-        _CALIBRATION_CACHE[rho.rho] = sign
-    return _CALIBRATION_CACHE[rho.rho]
+    r = rho.r
+    raw = _oracle_raw(RootPoly(r, {tuple(nu_from_rho(rho)): 1}), rho)
+    if raw == ChernPoly.one(r):
+        return 1
+    if raw == -ChernPoly.one(r):
+        return -1
+    raise ArithmeticError(f"calibration failed for rho={rho.rho}: reference push = {raw}")
 
 
 def pushforward_oracle(F, rho):

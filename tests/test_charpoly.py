@@ -22,6 +22,7 @@ from flagforms.charpoly import (
     straighten,
 )
 from flagforms.combinat import partitions_of, sigma_tilde
+from flagforms.formlab import ExtForm, GeneratorSpace
 
 
 def c(r, j):
@@ -365,6 +366,19 @@ def test_sum_of_fractions_with_an_integral_value_stores_an_int():
     c1 = c(2, 1)
     total = (c1 * Fraction(1, 2) + c1 * Fraction(3, 2)).terms[(1, 0)]
     assert total == 2 and type(total) is int
+
+
+def test_float_evaluation_does_not_depend_on_the_term_order():
+    # equal polynomials whose terms were built in different orders; in
+    # floating point (1e16 - 1e16) + 1 is 1 while (1 - 1e16) + 1e16 is 0
+    space = GeneratorSpace.base(1)
+    terms = [((2, 0), 10**16), ((0, 1), -(10**16)), ((1, 0), 1)]
+    polys = [ChernPoly(2, dict(order)) for order in (terms, terms[::-1])]
+    assert polys[0] == polys[1] and list(polys[0].terms) != list(polys[1].terms)
+    images = [None, ExtForm.scalar(space, 1.0), ExtForm.scalar(space, 1.0)]
+    values = [p.evaluate(images, lambda q: ExtForm.scalar(space, q)) for p in polys]
+    bits = [{k: repr(complex(v)) for k, v in f.terms.items()} for f in values]
+    assert bits[0] == bits[1]
 
 
 def test_pow_and_arithmetic():

@@ -297,11 +297,11 @@ def test_verify_rejects_a_seed_the_streams_cannot_key(capsys, seed):
     assert err == f"error: --seed of suite 'gysin-numeric' must be at most {2**64 - 2}, got {seed}\n"
 
 
-def test_conventions_do_not_depend_on_earlier_work(monkeypatch, capsys):
+def test_conventions_do_not_depend_on_earlier_work(capsys):
     from flagforms import gysin
 
     # start from an empty calibration cache, as in a fresh process
-    monkeypatch.setattr(gysin, "_CALIBRATION_CACHE", {})
+    gysin._calibration_sign.cache_clear()
     before = gysin.convention_report()
     code, _, _ = run(capsys, "--json", "verify", "--suite", "oracle")
     assert code == 0

@@ -1,10 +1,12 @@
 """The benchmark's tracer wraps flagforms functions by name; a rename in the
-library must not leave one of those names dangling."""
+library must not leave one of those names dangling.  Every library cache is
+bounded, so a run report can read the ``cache_info()`` of each."""
 
 import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +66,18 @@ print(json.dumps(tracer.summary()))
     )
     layers = json.loads(done.stdout)
     assert layers["formlab.wedge_det.calls"] == layers["formlab.chern_forms.calls"] == 1
+
+
+def test_every_library_cache_is_bounded():
+    # formlab's byte-bounded caches are _ByteLRU instances, which have no
+    # cache_info(); every other cache is a functools cache
+    import flagforms
+
+    for info in pkgutil.iter_modules(flagforms.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"flagforms.{info.name}")
+        for name, value in vars(module).items():
+            assert not (name.endswith("_CACHE") and isinstance(value, (dict, list))), (info.name, name)
+            if hasattr(value, "cache_info"):
+                assert value.cache_info().maxsize is not None, (info.name, name)
