@@ -10,6 +10,7 @@ as "not in the sampled hull, with margin m", not as a certificate.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 
@@ -90,7 +91,14 @@ def in_schur_cone(vec):
 
 
 def _primitive(ray):
-    """Scale an exact rational ray to a primitive integer vector."""
+    """Scale an exact rational ray to a primitive integer vector; a pair of
+    ints only divides by its gcd."""
+    if type(ray[0]) is int and type(ray[1]) is int:
+        ix, iy = ray
+        if ix == 0 and iy == 0:
+            raise ValueError("zero ray")
+        g = gcd(ix, iy)
+        return (ix // g, iy // g)
     x, y = Fraction(ray[0]), Fraction(ray[1])
     if x == 0 and y == 0:
         raise ValueError("zero ray")
@@ -107,13 +115,6 @@ def _cross(u, v):
 def _in_right_upper_half(ray):
     x, y = ray
     return x > 0 or (x == 0 and y > 0)
-
-
-def _slope_key(ray):
-    x, y = ray
-    if x == 0:
-        return (1, Fraction(0))
-    return (0, Fraction(y, x))
 
 
 def _simplex_grid(nparams, denom):
@@ -185,7 +186,9 @@ def ray_hull_2d(families, denom=64):
     for ray in rays:
         if not _in_right_upper_half(ray):
             raise ValueError(f"sampled ray {ray} leaves the right-upper half plane")
-    ordered = sorted(rays, key=_slope_key)
+    # counterclockwise: v follows u when their cross product is positive;
+    # distinct primitive rays in the half plane have distinct angles
+    ordered = sorted(rays, key=cmp_to_key(lambda u, v: -_cross(u, v)))
     return RayHull(lo=ordered[0], hi=ordered[-1], rays=ordered, denom=denom)
 
 

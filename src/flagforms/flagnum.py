@@ -10,20 +10,27 @@ analytic.  The curvature is the paper's center formula
 the point a chart center carries it there (``_exact_coeffs``, behind
 ``curvature_at``); over Haar-random rotations it is the Monte Carlo
 integrand, and with a given unitary frame ``theta_intrinsic``.
-Fourth-order central finite differences on the metric are the oracle
-only: the audit of every Monte Carlo run, the curvature suite and the
-tests.  The oracle (``_curvature_coeffs``) takes every block from the
-stencils, the base block too, and shares no formula with the center
-formula.
+
+The independent route differentiates the metric model instead: one
+evaluation of the induced metric in jets, C[eps_a, epsbar_b] / (eps_a
+eps_c, epsbar_b epsbar_d) with one eps per chart generator, gives the
+metric and its first and mixed second derivatives exactly, up to rounding
+(``_metric_jet``, behind ``_curvature_coeffs``).  It shares no formula with
+the center formula and takes every block from the metric, the base block
+too.  It audits every Monte Carlo run and serves the curvature suite's
+mixed-block checks and the tests.  Fourth-order central finite differences
+on the metric (``_Stencils``, behind ``_stencil_coeffs``) remain as the
+route of the curvature suite's "vs finite differences" check and as the
+jets' test oracle.
 
 Curvature coefficients are dicts keyed by pairs (a, b) of chart
 generator indices: z_1..z_n, then one zeta per admissible pair.  The
-finite-difference stencils (``_Stencils``) take the same index and shift
-generator a (and b) by its own step, every stencil of an audit in one call
-of the samples-last metric kernel (``_induced_metric``), which also serves
+finite-difference stencils take the same index and shift generator a
+(and b) by its own step, every stencil in one call of the samples-last
+metric kernel (``_induced_metric``), which also serves
 ``metric_universal``: the Gram matrix of the bundle's frame columns and
 the Schur complement of its sub block, products and an inverse of small
-matrices, as in the transport.
+matrices, as in the transport and the jets.
 
 Per-sample arrays are laid out samples last: N fiber points are (d, N),
 and small matrices (rank, rank, ..., N), matrix axes first, so a product
@@ -35,7 +42,9 @@ is (rank, rank).
 Monte Carlo fiber integrals average the center formula over Haar-random
 rotations, drawn in fixed-size chunks with per-chunk counter-keyed random
 streams, so an estimate is bit-reproducible for a given seed no matter how
-the chunks would be distributed over workers.
+the chunks would be distributed over workers.  An integrand of output
+degree 0 reads only the vertical block, which no rotation changes; it is
+evaluated once and draws nothing, with the estimate of the sampled route.
 """
 
 import math
@@ -61,8 +70,8 @@ from .rootcalc import _resolve_symbol, expand_expression
 FD_STEP = 1e-3
 #: Monte Carlo chunk size (fixed so results never depend on a worker split)
 MC_CHUNK = 65536
-#: relative defect at which the finite-difference audit fails, and relative
-#: accuracy loss at which ``curvature_at`` refuses a point
+#: relative defect at which the audit fails, and relative accuracy loss at
+#: which ``curvature_at`` refuses a point
 AUDIT_TOL = 1e-6
 
 
@@ -326,13 +335,14 @@ def _qr(X):
 class _Stencils:
     """Fourth-order Wirtinger derivatives of the universal-bundle metric
     around a batch of fiber points, along the chart generators a (z_1..z_n,
-    then zeta_p) that key the coefficient dicts: the independent route that
-    audits the exact curvature, in every block.
+    then zeta_p) that key the coefficient dicts, in every block: the route
+    of the curvature suite's "vs finite differences" check
+    (``_stencil_coeffs``) and the test oracle of the jets.
 
     Steps are relative: the step of every fiber coordinate is
     FD_STEP * sqrt(1 + |zeta|^2) per sample, the scale on which the induced
-    metrics vary around that point, so the audit of points far out in the
-    chart does not drown in rounding noise.  The step is shared by all
+    metrics vary around that point, so points far out in the chart do not
+    drown in rounding noise.  The step is shared by all
     fiber coordinates, so far out in the chart, where one coordinate is
     much larger than another, the stencils lose accuracy.
     The base coordinates keep the plain step FD_STEP.
@@ -399,6 +409,101 @@ class _Stencils:
             out.append(combine(*np.moveaxis(acc / denom[:, None], 3, 0)))
         return out[0], dict(zip(diag + mixed, np.moveaxis(np.concatenate(out[1:], axis=2), 2, 0)))
 
+    def jet(self):
+        """The metric and its derivatives at the points in the layout of
+        ``_metric_jet``, (H, dH, dbarH, d dbarH).  The metric is Hermitian:
+        dbarH is (dH)^H, and the lower triangles of the vertical and the
+        horizontal block of d dbarH mirror the upper ones."""
+        n = self.chart.n
+        H0 = _induced_metric(self.chart, self.spec, self.x[n:])
+        pairs = _curvature_pairs(self.chart)
+        if not pairs:  # a point fiber over a point base
+            return H0, None, None, None
+        mirror = [b < a and (a < n) == (b < n) for a, b in pairs]
+        P, S = self.derivatives([ab for ab, m in zip(pairs, mirror) if not m])
+        full = np.empty(P.shape[:3] + P.shape[2:], dtype=complex)
+        for (a, b), m in zip(pairs, mirror):
+            full[:, :, a, b] = _herm_t(S[b, a]) if m else S[a, b]
+        return H0, P, _herm_t(P), full
+
+
+# -- jets: the metric and its derivatives from one evaluation ------------------
+
+
+def _jet_dot(A, B):
+    """Products of samples-last matrix jets by the Leibniz rule.  A jet
+    (value, d, dbar, d dbar) of shapes (i, j, ...), (i, j, G, ...) twice and
+    (i, j, G, G, ...) is a matrix over C[eps_a, epsbar_b] / (eps_a eps_c,
+    epsbar_b epsbar_d), one eps per chart generator g_a."""
+    (v, d, e, s), (w, f, g, t) = A, B
+    v1, w1 = v[:, :, None], w[:, :, None]
+    return (
+        _dot(v, w),
+        _dot(d, w1) + _dot(v1, f),
+        _dot(e, w1) + _dot(v1, g),
+        _dot(s, w1[:, :, None]) + _dot(d[:, :, :, None], g[:, :, None])
+        + _dot(e[:, :, None], f[:, :, :, None]) + _dot(v1[:, :, None], t),
+    )
+
+
+def _jet_conj(A):
+    """The complex conjugate of a jet: conjugation swaps d and dbar."""
+    v, d, e, s = A
+    return np.conj(v), np.conj(e), np.conj(d), np.conj(np.swapaxes(s, 2, 3))
+
+
+def _jet_t(A):
+    """The transpose of a matrix jet."""
+    return tuple(np.swapaxes(x, 0, 1) for x in A)
+
+
+def _jet_inverse(A):
+    """Inverses of jets of positive definite matrices: X = A^-1,
+    X_a = -X A_a X, X_b = -X A_b X and X_ab = -X (A_ab X + A_a X_b + A_b X_a)
+    for d_a, dbar_b and d_a dbar_b."""
+    v, d, e, s = A
+    X = _inverse(v)
+    X1 = X[:, :, None]
+    Xd, Xe = (-_dot(_dot(X1, y), X1) for y in (d, e))
+    cross = _dot(d[:, :, :, None], Xe[:, :, None]) + _dot(e[:, :, None], Xd[:, :, :, None])
+    return X, Xd, Xe, -_dot(X1[:, :, None], _dot(s, X1[:, :, None]) + cross)
+
+
+def _metric_jet(chart, spec, C, Z):
+    """The induced metric of ``_induced_metric`` at z = 0 and the fiber
+    points Z (d, N), as one jet in the n + d chart generators:
+    (H, dH, dbarH, d dbarH), shaped (rk, rk, N), (rk, rk, n + d, N) twice
+    and (rk, rk, n + d, n + d, N).  These are hyper-dual numbers (Fike and
+    Alonso, AIAA paper 2011-886): exact derivatives, with no step, so the
+    only error is rounding.
+
+    The frame columns V = I + zeta are holomorphic, with d V = 1 at
+    (lam - 1, mu - 1) along zeta_(lam,mu); W is their conjugate times the
+    ambient metric I - delta, whose only derivative at z = 0 is
+    d_j dbar_k = -c[j,k]; the metric is the Gram matrix G = V^T W, or the
+    Schur complement A - B D^-1 B^H of its sub block.
+    """
+    q_idx, s_idx = _bundle_slices(spec)
+    n, d, r, N = chart.n, chart.d, chart.r, Z.shape[1]
+    dV = np.zeros((r, r, n + d, N), dtype=complex)
+    if d:
+        dV[[lam - 1 for lam, _ in chart.pairs], [mu - 1 for _, mu in chart.pairs], range(n, n + d)] = 1.0
+    cols = slice(q_idx[0], None)
+    zero = np.zeros((r, r - q_idx[0], n + d, n + d, N), dtype=complex)
+    V = (_frames(chart, Z)[:, cols], dV[:, cols], np.zeros_like(dV[:, cols]), zero)
+    W = _jet_conj(V)
+    if n:
+        c = np.moveaxis(C.coeffs, (0, 1), (2, 3))[..., None]  # (r, r, n, n, 1)
+        W[3][:, :, :n, :n] -= _dot(c, W[0][:, :, None, None])
+    G = _jet_dot(_jet_t(V), W)
+    rk = len(q_idx)
+    A = tuple(x[:rk, :rk] for x in G)
+    if not s_idx:
+        return A
+    B, D = tuple(x[:rk, rk:] for x in G), tuple(x[rk:, rk:] for x in G)
+    BXBh = _jet_dot(_jet_dot(B, _jet_inverse(D)), _jet_t(_jet_conj(B)))
+    return tuple(a - b for a, b in zip(A, BXBh))
+
 
 def _base_coeffs(W, C, H0inv):
     """The base block of the curvature at z = 0, (rk, rk, n, n, N), of a
@@ -444,10 +549,17 @@ def _exact_coeffs(spec, C, zeta):
     product; the loss is that of the QR, about eps * cond(V).
     """
     chart = chart_for(spec, C.n)
-    n, d = chart.n, chart.d
     zeta = _zeta(chart, zeta)
     shape = zeta.shape[:-1]
-    Q, R = _qr(_frames(chart, _samples_last(zeta, shape))[::-1, ::-1])
+    return _transport(spec, C, _frames(chart, _samples_last(zeta, shape)), shape)
+
+
+def _transport(spec, C, V, shape):
+    """``_exact_coeffs`` from the samples-last frames V (r, r, N) of the
+    points, which it overwrites, with the batch shape of the points."""
+    chart = chart_for(spec, C.n)
+    n, d = chart.n, chart.d
+    Q, R = _qr(V[::-1, ::-1])
     g, L = Q[::-1, ::-1], R[::-1, ::-1]
     Linv = _inverse(L)
     q_idx, _ = _bundle_slices(spec)
@@ -473,9 +585,42 @@ def _exact_coeffs(spec, C, zeta):
     return coeffs, _unfold(H0, shape), _unfold(H0inv, shape)
 
 
+def _curvature_pairs(chart):
+    """Every pair (a, b) of chart generators, in the term order of the forms
+    built from the coefficients, which fixes the rounding of sums over their
+    terms: the vertical block with each pair beside its mirror, the
+    horizontal block, then the mixed blocks."""
+    n, d = chart.n, chart.d
+    base, fiber = range(n), range(n, n + d)
+    pairs = sorted(product(fiber, fiber), key=lambda ab: (min(ab), max(ab), ab[0] > ab[1]))
+    return pairs + list(product(base, base)) + list(product(base, fiber)) + list(product(fiber, base))
+
+
+def _coeffs_from(spec, C, zeta, route):
+    """Curvature coefficients at z = 0 over a batch of fiber points from a
+    route to the metric and its derivatives: ``route(chart, Z)`` takes the
+    points samples last, (d, N), and returns the jet layout of
+    ``_metric_jet``, (H, dH, dbarH, d dbarH)."""
+    chart = chart_for(spec, C.n)
+    zeta = _zeta(chart, zeta)
+    shape = zeta.shape[:-1]
+    H0, P, Pbar, S = route(chart, _samples_last(zeta, shape))
+    H0inv = _inverse(H0)
+    pairs = _curvature_pairs(chart)
+    coeffs = {}
+    if pairs:  # else a point fiber over a point base
+        # all pairs at once: (d_a H H0^-1 dbar_b H - d_a dbar_b H) H0^-1
+        ia, ib = np.array(pairs).T
+        M = _dot(_dot(_dot(P, H0inv[:, :, None])[:, :, ia], Pbar[:, :, ib]) - S[:, :, ia, ib], H0inv[:, :, None])
+        coeffs = {ab: _unfold(v, shape) for ab, v in zip(pairs, np.moveaxis(M, 2, 0))}
+    return coeffs, _unfold(H0, shape), _unfold(H0inv, shape)
+
+
 def _curvature_coeffs(spec, C, zeta):
     """Coefficient arrays of the curvature at z = 0 over a batch of fiber
-    points, every block from the finite-difference stencils.
+    points, every block from one jet evaluation of the metric
+    (``_metric_jet``): exact up to rounding, and sharing no formula with
+    the center formula.
 
     Returns (coeffs, H0, H0inv): a dict keyed by generator-index pairs
     (a, b) of the chart with values shaped (rk, rk) + shape, samples last --
@@ -483,51 +628,31 @@ def _curvature_coeffs(spec, C, zeta):
     dbar(dH H^-1), whose (alpha, beta) entry feeds the FormMatrix entry
     (beta, alpha) -- plus the metric and its inverse at the points.
     """
-    chart = chart_for(spec, C.n)
-    zeta = _zeta(chart, zeta)
-    shape = zeta.shape[:-1]
-    Z = _samples_last(zeta, shape)
-    n, d = chart.n, chart.d
-    H0 = _induced_metric(chart, spec, Z)
-    H0inv = _inverse(H0)
-    base, fiber = range(n), range(n, n + d)
-    # the pair order is the term order of the forms built from these
-    # coefficients, which fixes the rounding of sums over their terms: the
-    # vertical block with each pair beside its mirror, the horizontal block,
-    # then the mixed blocks
-    pairs = sorted(product(fiber, fiber), key=lambda ab: (min(ab), max(ab), ab[0] > ab[1]))
-    pairs += list(product(base, base)) + list(product(base, fiber)) + list(product(fiber, base))
-    if not pairs:  # a point fiber over a point base
-        return {}, _unfold(H0, shape), _unfold(H0inv, shape)
-    # the metric is Hermitian: the lower triangles of the vertical and the
-    # horizontal block mirror the upper ones
-    mirror = [b < a and (a < n) == (b < n) for a, b in pairs]
-    P, S = _Stencils(spec, C, Z).derivatives([ab for ab, m in zip(pairs, mirror) if not m])
-    S = np.stack([_herm_t(S[b, a]) if m else S[a, b] for (a, b), m in zip(pairs, mirror)], axis=2)
-    # all pairs at once: (P_a H0^-1 P_b^H - S_ab) H0^-1
-    ia, ib = np.array(pairs).T
-    M = _dot(_dot(_dot(P, H0inv[:, :, None])[:, :, ia], _herm_t(P[:, :, ib])) - S, H0inv[:, :, None])
-    coeffs = {ab: _unfold(v, shape) for ab, v in zip(pairs, np.moveaxis(M, 2, 0))}
-    return coeffs, _unfold(H0, shape), _unfold(H0inv, shape)
+    return _coeffs_from(spec, C, zeta, lambda chart, Z: _metric_jet(chart, spec, C, Z))
+
+
+def _stencil_coeffs(spec, C, zeta):
+    """``_curvature_coeffs`` with every derivative from the finite-difference
+    stencils (``_Stencils``): the route of criterion 5, "curvature formula
+    vs finite differences at the center", and the jets' test oracle."""
+    return _coeffs_from(spec, C, zeta, lambda chart, Z: _Stencils(spec, C, Z).jet())
 
 
 def _audit_coeffs(spec, C, zeta, exact):
-    """Finite-difference audit of closed-form coefficients at the points
-    zeta; a vertical key that ``exact`` lacks stands for a zero coefficient.
+    """Audit of closed-form coefficients at the points zeta against the
+    jets (``_curvature_coeffs``); a vertical key that ``exact`` lacks
+    stands for a zero coefficient.
 
-    Returns (mixed, vertical), both relative to the largest stencil
-    coefficient at these points: the largest mixed base-fiber coefficient,
-    which must vanish in this metric model, and the largest deviation of
-    the exact vertical block from the stencils.  The scale is shared by
-    all points because the stencils lose relative accuracy far out in the
-    chart, where the two terms of each coefficient nearly cancel.  A NaN
-    anywhere makes the defects NaN.
+    Returns (mixed, vertical), both relative to the largest jet coefficient
+    at these points: the largest mixed base-fiber coefficient, which must
+    vanish in this metric model, and the largest deviation of the exact
+    vertical block from the jets.  A NaN anywhere makes the defects NaN.
     """
     n = chart_for(spec, C.n).n
-    fd, _, _ = _curvature_coeffs(spec, C, zeta)
-    scale = np.max([np.abs(v).max() for v in fd.values()], initial=1e-300)
-    mixed = [np.abs(v).max() for (a, b), v in fd.items() if (a < n) != (b < n)]
-    vertical = [np.abs(exact[key] - v if key in exact else v).max() for key, v in fd.items() if min(key) >= n]
+    jet, _, _ = _curvature_coeffs(spec, C, zeta)
+    scale = np.max([np.abs(v).max() for v in jet.values()], initial=1e-300)
+    mixed = [np.abs(v).max() for (a, b), v in jet.items() if (a < n) != (b < n)]
+    vertical = [np.abs(exact[key] - v if key in exact else v).max() for key, v in jet.items() if min(key) >= n]
     return float(np.max(mixed, initial=0.0) / scale), float(np.max(vertical, initial=0.0) / scale)
 
 
@@ -555,16 +680,18 @@ def curvature_at(spec, C, p, with_report=False):
     the point: its QR factorization, which the rotation comes from, loses
     about that much relative accuracy."""
     chart = chart_for(spec, C.n)
+    V = frames_eps(chart, p)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not np.isfinite(gram(chart, p)).all():
+        if not np.isfinite(np.einsum("...la,...lb->...ab", V, np.conj(V))).all():
             raise ArithmeticError("the frame's Gram matrix is not finite (too far out in the chart)")
-        loss = np.finfo(float).eps * np.linalg.cond(frames_eps(chart, p))
+        loss = np.finfo(float).eps * np.linalg.cond(V)
         if not loss <= AUDIT_TOL:
             raise ArithmeticError(
                 f"the frame loses {loss:.3g} relative accuracy, beyond the "
                 f"tolerance {AUDIT_TOL:g} (too far out in the chart)"
             )
-    coeffs, H0, H0inv = _exact_coeffs(spec, C, p)
+    shape = V.shape[:-2]
+    coeffs, H0, H0inv = _transport(spec, C, np.moveaxis(V.reshape((-1,) + V.shape[-2:]), 0, -1), shape)
     matrix = FormMatrix.from_coeffs(chart.space, spec.rank, coeffs)
     if with_report:
         return matrix, {"hermitian_defect": _hermitian_defect(coeffs, H0, H0inv)}
@@ -749,12 +876,19 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     on g reports 0, and are NaN with fewer than two finite samples; a sample
     that is not finite is dropped and counted.
 
-    Once per bundle, finite differences with step FD_STEP recompute the
+    At output degree k = 0 the integrand reads only the top vertical
+    coefficient, built from the vertical block, which does not depend on g.
+    Then it is evaluated once, at g = 1, and merged as every chunk's equal
+    samples: no rotation is drawn, and form, standard errors and sample
+    counts are those of the sampled route, bit for bit.
+
+    Once per bundle, the jets (``_curvature_coeffs``) recompute the
     curvature at the chart center, where neither the vertical nor the mixed
     blocks depend on g: the mixed blocks must vanish and the vertical block
     must match the center formula, both to AUDIT_TOL relative, or
     ArithmeticError is raised.  Both defects are reported on the estimate,
-    with the Hermitian defect of the rotated center coefficients.
+    with the Hermitian defect of the rotated center coefficients (of the
+    one evaluation at g = 1 when k = 0).
     """
     cfg = _as_sampler(sampler)
     if isinstance(F_expr, str):
@@ -788,7 +922,7 @@ def pushforward_numeric(chart, F_expr, C, sampler):
         )
     if not vertical_defect <= AUDIT_TOL:
         raise ArithmeticError(
-            f"the center formula's vertical curvature differs from finite differences "
+            f"the center formula's vertical curvature differs from the metric's jets "
             f"(relative defect {vertical_defect:g})"
         )
 
@@ -803,24 +937,32 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     m2 = np.zeros(len(keys))  # summed squared deviations from the mean
     n_finite = 0
     hermitian_defect = 0.0  # np.maximum carries a NaN
-    for chunk_idx in range(-(-cfg.num_samples // cfg.chunk)):
-        count = min(cfg.chunk, cfg.num_samples - chunk_idx * cfg.chunk)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, chunk_idx], dtype=np.uint64))
-        )
-        g = _haar_unitaries(rng, chart.r, count)
 
+    def integrand(g):
+        nonlocal hermitian_defect
         curv = {}
         for spec in specs:
             coeffs = _center_coeffs(spec, C, g)
             hermitian_defect = np.maximum(hermitian_defect, _hermitian_defect(coeffs))
             curv[spec] = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, coeffs))
-
-        value = exprs.evaluate(
+        return exprs.evaluate(
             F_expr,
             const=lambda q: ExtForm.scalar(chart.space, q),
             chern=lambda j, ref: curv[spec_of[ref]][j],
         )
+
+    value = None
+    for chunk_idx in range(-(-cfg.num_samples // cfg.chunk)):
+        count = min(cfg.chunk, cfg.num_samples - chunk_idx * cfg.chunk)
+        if k:
+            rng = np.random.Generator(
+                np.random.Philox(key=np.array([cfg.seed, chunk_idx], dtype=np.uint64))
+            )
+            value = integrand(_haar_unitaries(rng, chart.r, count))
+        elif value is None:
+            # a degree-0 integrand reads only the vertical block, which no
+            # rotation changes: every sample equals its value at g = 1
+            value = integrand(np.eye(chart.r, dtype=complex)[:, :, None])
 
         # a coefficient that does not depend on g is a number
         vals = np.array([np.broadcast_to(value.terms.get((J | vmask, K | vmask), 0.0), (count,)) for J, K in keys])

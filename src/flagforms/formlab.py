@@ -743,8 +743,8 @@ def _kappa(k):
 
 
 def _frame_minors(frames):
-    """The k x k minors of batched k-frames and their conjugates, keyed by
-    column mask.
+    """The k x k minors of batched k-frames, stacked: (rows, M, conj(M))
+    with row rows[cols] of M (C(n, k), N) the minors of column mask cols.
 
     ``frames`` has shape (N, k, n) with rows the frame vectors.  All minors
     come from one Laplace expansion along the rows, with the samples on the
@@ -754,17 +754,19 @@ def _frame_minors(frames):
     V = np.ascontiguousarray(frames.transpose(1, 2, 0))  # (k, n, N)
     minors = laplace_minors(V, V.shape[1], 1.0, 0.0)
     minors = {cols: m for cols, m in minors.items() if cols.bit_count() == k}
-    return minors, {cols: np.conj(m) for cols, m in minors.items()}
+    M = np.array(list(minors.values()))
+    return dict(zip(minors, range(len(M)))), M, np.conj(M)
 
 
-def _evaluate_on_minors(gamma, minors, conj):
-    """The value of a (k,k)-form on frames with k x k minors ``minors``
-    and their conjugates ``conj``: coeff * det(V[:, S]) * conj(det(V[:, T]))
-    summed over the terms (S, T)."""
-    vals = np.zeros(len(next(iter(minors.values()))), dtype=complex)
+def _evaluate_on_minors(gamma, rows, M, conj):
+    """The value of a (k,k)-form on frames with stacked k x k minors M and
+    their conjugates ``conj`` (``_frame_minors``): sum_s M_s (Gamma conj(M))_s,
+    with Gamma the C(n, k)-square coefficient matrix of the form, whose
+    entry (S, T) is the coefficient of its term (S, T)."""
+    gamma_matrix = np.zeros((len(M), len(M)), dtype=complex)
     for (s, t), coeff in gamma.terms.items():
-        vals += coeff * minors[s] * conj[t]
-    return vals
+        gamma_matrix[rows[s], rows[t]] = coeff
+    return (M * (gamma_matrix @ conj)).sum(axis=0)
 
 
 def _evaluate_on_frame(gamma, frames):
@@ -776,17 +778,17 @@ _FRAMES = _ByteLRU(FRAME_CACHE_BYTES)
 
 
 def _random_frame_minors(k, n, samples, seed):
-    """The k x k minors of ``samples`` random holomorphic k-frames in C^n
-    drawn from ``seed``, and their conjugates, as read-only arrays.  They
-    depend on (k, n, samples, seed) alone, so for an integer seed they are
-    cached under that key."""
+    """The stacked k x k minors of ``samples`` random holomorphic k-frames
+    in C^n drawn from ``seed`` (``_frame_minors``), the arrays read-only.
+    They depend on (k, n, samples, seed) alone, so for an integer seed they
+    are cached under that key."""
 
     def build():
         rng = np.random.default_rng(seed)
         frames = rng.standard_normal((samples, k, n)) + 1j * rng.standard_normal((samples, k, n))
-        minors, conj = _frame_minors(frames)
-        _readonly([*minors.values(), *conj.values()])
-        return (minors, conj), 2 * sum(m.nbytes for m in minors.values())
+        rows, M, conj = _frame_minors(frames)
+        _readonly([M, conj])
+        return (rows, M, conj), M.nbytes + conj.nbytes
 
     if not isinstance(seed, (int, np.integer)):  # a Generator draws anew on each call
         return build()[0]

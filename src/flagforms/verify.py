@@ -26,9 +26,9 @@ from .flagnum import (
     SamplerConfig,
     _audit_coeffs,
     _bundle_slices,
-    _curvature_coeffs,
     _exact_coeffs,
     _haar_unitaries,
+    _stencil_coeffs,
     chart_for,
     curvature_center,
     pushforward_numeric,
@@ -266,14 +266,16 @@ def _config_stream(seed, count, max_n=4, max_r=4):
 
 def curvature_center_checks(cases=20, seed=20240401, tol=1e-5):
     """The exact center formula against the finite-difference stencils at
-    zeta = 0, relative error <= tol.  The stencils are the independent
-    route: ``curvature_at`` is the center formula carried to a point, and
-    at zeta = 0 it is the center formula itself."""
+    zeta = 0 (``_stencil_coeffs``), relative error <= tol.  The stencils
+    are an independent route: ``curvature_at`` is the center formula
+    carried to a point, and at zeta = 0 it is the center formula itself.
+    The jets, the other independent route, equal the center formula
+    exactly at zeta = 0 (``mixed_block_checks``)."""
     worst = 0.0
     for C, rho, spec in _config_stream(seed, cases):
         chart = chart_for(spec, C.n)
         exact = curvature_center(spec, C)
-        coeffs, _, _ = _curvature_coeffs(spec, C, np.zeros(chart.d))
+        coeffs, _, _ = _stencil_coeffs(spec, C, np.zeros(chart.d))
         fd = FormMatrix.from_coeffs(chart.space, spec.rank, coeffs)
         diff = 0.0
         norm = 0.0
@@ -326,11 +328,11 @@ def theta_invariance_checks(trials=50, seed=20240402, tol=1e-12):
 
 
 def mixed_block_checks(points=10, seed=20240403, tol=1e-6):
-    """The finite-difference audit (``_audit_coeffs``) at the center and at
-    random chart points: the mixed base-fiber coefficients of the stencils
-    vanish, and the vertical block of the center formula carried to each
-    point (``_exact_coeffs``) matches them, both within tol of the largest
-    stencil coefficient."""
+    """The jet audit (``_audit_coeffs``) at the center and at random chart
+    points: the mixed base-fiber coefficients of the jets, the metric's
+    exact derivatives, vanish, and the vertical block of the center formula
+    carried to each point (``_exact_coeffs``) matches them, both within tol
+    of the largest jet coefficient."""
     checks = []
     for C, rho, spec in _config_stream(seed, 4, max_n=3, max_r=4):
         chart = chart_for(spec, C.n)

@@ -567,7 +567,7 @@ def test_exact_coefficients_match_finite_differences_every_bundle():
         rng = np.random.default_rng(i)
         zeta = 0.7 * (rng.standard_normal((3, chart.d)) + 1j * rng.standard_normal((3, chart.d)))
         exact, H, Hinv = flagnum._exact_coeffs(spec, C, zeta)
-        fd, H_fd, _ = flagnum._curvature_coeffs(spec, C, zeta)
+        fd, H_fd, _ = flagnum._stencil_coeffs(spec, C, zeta)
         assert exact.keys() < fd.keys()
         assert np.abs(H - H_fd).max() <= 1e-12 * np.abs(H_fd).max()
         scale = np.max([np.abs(v).max(axis=(0, 1)) for v in fd.values()], axis=0)
@@ -647,16 +647,26 @@ def test_hermitian_defect_carries_a_nan(monkeypatch):
     assert est.n_nonfinite == 1 and est.n_samples == 499
 
 
-def test_pushforward_numeric_reports_audit_and_hermitian_defects():
+def test_pushforward_numeric_reports_audit_and_hermitian_defects(monkeypatch):
+    # the audit runs once per bundle, on jets, which at the chart center
+    # reproduce the center formula bit for bit: both audit defects are 0
+    audits, jets = [], flagnum._curvature_coeffs
+
+    def counted(spec, C, zeta):
+        audits.append(spec)
+        return jets(spec, C, zeta)
+
+    monkeypatch.setattr(flagnum, "_curvature_coeffs", counted)
     chart = FlagChart((0, 1, 3), 2)
     C = griffiths_sample(2, 3, terms=2, seed=7)
     est = pushforward_numeric(
         chart, "c1(Q1)^2*c2(Q1)", C, SamplerConfig(num_samples=2000, seed=3)
     )
     data = est.to_json()
-    assert 0.0 < data["vertical_audit_defect"] <= 1e-8
+    assert audits == [UniversalBundleSpec(chart.rho, 1, 2)]
+    assert data["vertical_audit_defect"] == 0.0
     assert 0.0 <= data["hermitian_defect"] <= 1e-8
-    assert data["mixed_block_defect"] <= 1e-8
+    assert data["mixed_block_defect"] == 0.0
 
 
 def test_audit_rejects_a_wrong_vertical_block(monkeypatch):
@@ -775,32 +785,88 @@ def test_batched_stencils_equal_the_per_derivative_stencils(n):
 
 def test_the_oracle_shares_no_formula_with_the_center_formula(monkeypatch):
     # a wrong base block in the center formula (c[j,k] transposed) leaves
-    # the finite-difference coefficients unchanged, bit for bit, and the
-    # comparison of the exact coefficients with them fails
+    # the jet and the finite-difference coefficients unchanged, bit for
+    # bit, and the comparison of the exact coefficients with them fails
     spec = UniversalBundleSpec(DimensionSequence((0, 1, 3)), 1, 2)
     C = random_tensor(2, 3, 41)
     d = chart_for(spec, 2).d
     rng = np.random.default_rng(41)
     zeta = 0.7 * (rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d)))
 
-    def compare():
+    def compare(route):
         exact, _, _ = flagnum._exact_coeffs(spec, C, zeta)
-        fd, _, _ = flagnum._curvature_coeffs(spec, C, zeta)
+        fd, _, _ = route(spec, C, zeta)
         scale = max(np.abs(v).max() for v in fd.values())
         gap = max(np.abs(exact.get(key, 0) - v).max() for key, v in fd.items()) / scale
         return {key: v.tobytes() for key, v in fd.items()}, gap
 
-    fd, gap = compare()
-    assert gap <= 1e-8
+    routes = (flagnum._curvature_coeffs, flagnum._stencil_coeffs)
+    right = [compare(route) for route in routes]
+    assert all(gap <= 1e-8 for _, gap in right)
     base_coeffs = flagnum._base_coeffs
 
     def transposed(W, C, H0inv):
         return base_coeffs(W, CurvatureTensor(np.swapaxes(C.coeffs, 2, 3)), H0inv)
 
     monkeypatch.setattr(flagnum, "_base_coeffs", transposed)
-    fd_wrong, gap_wrong = compare()
-    assert fd_wrong == fd
-    assert gap_wrong > 1e-2
+    for route, (fd, _) in zip(routes, right):
+        fd_wrong, gap_wrong = compare(route)
+        assert fd_wrong == fd
+        assert gap_wrong > 1e-2
+
+
+def test_jets_match_the_stencils_every_bundle():
+    # the jet coefficients and metric against the fourth-order stencils,
+    # relative to each point's largest coefficient, on every bundle with
+    # r <= 4 at n = 1 and 2: within the stencils' error, about 1e-10 at the
+    # chart center and 1e-8 at points of size 0.7
+    for n in (1, 2):
+        for i, spec in enumerate(_every_bundle()):
+            C = random_tensor(n, spec.rho.r, 600 + i)
+            chart = chart_for(spec, n)
+            rng = np.random.default_rng(600 + i)
+            draws = 0.7 * (rng.standard_normal((3, chart.d)) + 1j * rng.standard_normal((3, chart.d)))
+            zeta = np.concatenate([np.zeros((1, chart.d)), draws])
+            jet, H, Hinv = flagnum._curvature_coeffs(spec, C, zeta)
+            fd, H_fd, Hinv_fd = flagnum._stencil_coeffs(spec, C, zeta)
+            assert list(jet) == list(fd)
+            assert np.array_equal(H, H_fd) and np.array_equal(Hinv, Hinv_fd)
+            scale = np.max([np.abs(v).max(axis=(0, 1)) for v in fd.values()], axis=0)
+            gap = np.max([np.abs(jet[key] - v).max(axis=(0, 1)) for key, v in fd.items()], axis=0) / scale
+            assert gap[0] <= 1e-9 and gap.max() <= 1e-7, (n, spec, gap)
+
+
+def test_jets_match_the_exact_coefficients():
+    # seeded points with |zeta| <= 3 on every bundle with r <= 4: the jets
+    # and the center formula carried to the points agree to rounding,
+    # relative to each point's largest coefficient
+    for i, spec in enumerate(_every_bundle()):
+        C = random_tensor(2, spec.rho.r, 800 + i)
+        chart = chart_for(spec, 2)
+        rng = np.random.default_rng(800 + i)
+        zeta = rng.standard_normal((8, chart.d)) + 1j * rng.standard_normal((8, chart.d))
+        zeta *= rng.uniform(0, 3, (8, 1)) / np.linalg.norm(zeta, axis=1, keepdims=True)
+        jet, H, _ = flagnum._curvature_coeffs(spec, C, zeta)
+        exact, H_exact, _ = flagnum._exact_coeffs(spec, C, zeta)
+        assert exact.keys() < jet.keys()
+        assert np.abs(H - H_exact).max() <= 1e-12 * np.abs(H).max()
+        scale = np.max([np.abs(v).max(axis=(0, 1)) for v in jet.values()], axis=0)
+        gap = np.max([np.abs(v - exact.get(key, 0)).max(axis=(0, 1)) for key, v in jet.items()], axis=0)
+        assert (gap <= 1e-12 * scale).all(), (spec, (gap / scale).max())
+
+
+def test_jets_at_the_center_are_the_center_formula():
+    # at zeta = 0 every product of the jets involves only 0, 1 and the
+    # entries of C, so they reproduce the center formula exactly, the mixed
+    # blocks and the coefficients it leaves out being 0
+    for n in (1, 2):
+        for i, spec in enumerate(_every_bundle()):
+            C = random_tensor(n, spec.rho.r, 200 + i)
+            jet, _, _ = flagnum._curvature_coeffs(spec, C, np.zeros(chart_for(spec, n).d))
+            center = flagnum._center_coeffs(spec, C)
+            assert center.keys() <= jet.keys()
+            for key, v in jet.items():
+                assert np.array_equal(v, center.get(key, np.zeros_like(v))), (n, spec, key)
 
 
 def test_curvature_coeffs_without_generators_are_empty():
@@ -826,19 +892,27 @@ def test_one_kernel_call_for_all_stencils(monkeypatch):
     monkeypatch.setattr(flagnum, "_induced_metric", counted)
     spec = UniversalBundleSpec(DimensionSequence((0, 2, 4)), 1, 2)
     C = griffiths_sample(2, 4, terms=4, seed=0)
-    flagnum._curvature_coeffs(spec, C, np.zeros((3, 4)))
+    flagnum._stencil_coeffs(spec, C, np.zeros((3, 4)))
     # 6 first derivatives of 8 moves, 4 vertical and 2 base diagonal ones of
     # 10, and 6 vertical, 1 base and 16 mixed pairs of 64 moves, at 3 points
     assert calls == [3, 3 * (6 * 8 + 6 * 10 + 23 * 64)]
 
-    # the Monte Carlo cases of the benchmark's mc-fiber pass: one audit each
+    # the Monte Carlo cases of the benchmark's mc-fiber pass: one audit
+    # each, one jet evaluation and no metric-kernel call
     calls.clear()
+    jets, metric_jet = [], flagnum._metric_jet
+
+    def counted_jet(chart, spec, C, Z):
+        jets.append(Z.shape[1])
+        return metric_jet(chart, spec, C, Z)
+
+    monkeypatch.setattr(flagnum, "_metric_jet", counted_jet)
     for rho, expr, seed in (((0, 1, 3), "c1(Q1)^2*c2(Q1)", 31), ((0, 2, 4), "c1(Q2)^4*c2(Q2)", 0)):
         C = griffiths_sample(2, rho[-1], terms=4, seed=seed)
         verify_main_theorem(FlagChart(rho, 2), expr, C, SamplerConfig(num_samples=200, seed=seed))
     flat = CurvatureTensor.zero(1, 2)
     pushforward_numeric(FlagChart((0, 1, 2), 1), "0 - c1(U1)", flat, SamplerConfig(num_samples=200, seed=1))
-    assert len(calls) == 6
+    assert calls == [] and jets == [1, 1, 1]
 
 
 def test_stencil_slices_hold_whole_points_and_keep_every_bit(monkeypatch):
@@ -870,8 +944,8 @@ def test_stencil_slices_hold_whole_points_and_keep_every_bit(monkeypatch):
 
 
 def test_audit_matches_the_solve_based_metric_route(monkeypatch):
-    # the stencils through the metric kernel against the stencils through
-    # the solve-based reference, on every bundle with r <= 4
+    # the audit on the stencils through the metric kernel against the
+    # stencils through the solve-based reference, on every bundle with r <= 4
     cases = []
     for i, spec in enumerate(_every_bundle()):
         C = griffiths_sample(2, spec.rho.r, terms=3, seed=500 + i)
@@ -883,6 +957,7 @@ def test_audit_matches_the_solve_based_metric_route(monkeypatch):
     def audits():
         return np.array([flagnum._audit_coeffs(*case) for case in cases])
 
+    monkeypatch.setattr(flagnum, "_curvature_coeffs", flagnum._stencil_coeffs)
     kernel = audits()
     monkeypatch.setattr(flagnum, "_induced_metric", _solve_route)
     assert np.abs(kernel - audits()).max() <= 1e-10
@@ -890,8 +965,9 @@ def test_audit_matches_the_solve_based_metric_route(monkeypatch):
 
 def test_monte_carlo_estimates_do_not_depend_on_the_metric_route(monkeypatch):
     # the two Monte Carlo cases of the benchmark: the metric route feeds
-    # only the audit, so the estimates are bit-identical and the audit
-    # defects move by rounding alone
+    # only the audit, so the estimates are bit-identical on the jets and on
+    # the stencils, and the stencils' audit defects move by rounding alone
+    # between the metric kernel and the solve-based reference
     cases = [
         ((0, 1, 3), "c1(Q1)^2*c2(Q1)", 31, "auto"),
         ((0, 2, 4), "c1(Q2)^4*c2(Q2)", 0, "product"),
@@ -905,9 +981,12 @@ def test_monte_carlo_estimates_do_not_depend_on_the_metric_route(monkeypatch):
             out.append(pushforward_numeric(FlagChart(rho, 2), expr, C, cfg))
         return out
 
+    jets = estimates()
+    monkeypatch.setattr(flagnum, "_curvature_coeffs", flagnum._stencil_coeffs)
     kernel = estimates()
     monkeypatch.setattr(flagnum, "_induced_metric", _solve_route)
-    for new, old in zip(kernel, estimates()):
+    for jet, new, old in zip(jets, kernel, estimates()):
+        assert jet.form.terms == new.form.terms and jet.stderr == new.stderr
         assert new.form.terms == old.form.terms
         assert new.stderr == old.stderr
         assert abs(new.mixed_block_defect - old.mixed_block_defect) <= 1e-10
@@ -1080,6 +1159,43 @@ def test_chunked_moments_equal_one_chunk(monkeypatch):
     for key, v in one.form.terms.items():
         assert abs(split.form.terms[key] - v) <= 1e-12 * abs(v)
         assert split.stderr[key] == pytest.approx(one.stderr[key], rel=1e-9)
+
+
+def _no_haar_draws(rng, r, count):
+    raise AssertionError("a degree-0 integrand draws no rotation")
+
+
+def test_degree_zero_integrands_draw_no_rotation(monkeypatch):
+    # a degree-0 integrand does not depend on the rotation: evaluated once,
+    # it gives the sampled route's estimate field for field, for every
+    # sample count, one chunk or two
+    haar = flagnum._haar_unitaries
+    monkeypatch.setattr(flagnum, "_haar_unitaries", _no_haar_draws)
+    chart = FlagChart((0, 1, 2), 1)
+    flat = CurvatureTensor.zero(1, 2)
+    for samples, form, stderr in ((0, {}, math.nan), (1, {(0, 0): 1}, math.nan), (2, {(0, 0): 1}, 0.0),
+                                  (70000, {(0, 0): 1}, 0.0)):
+        est = pushforward_numeric(chart, "0 - c1(U1)", flat, SamplerConfig(num_samples=samples, seed=3))
+        assert est.form.terms == form, samples
+        assert est.stderr.keys() == {(0, 0)}
+        assert est.stderr[(0, 0)] == stderr or math.isnan(est.stderr[(0, 0)]) and math.isnan(stderr)
+        assert (est.n_samples, est.n_nonfinite, est.n_requested) == (samples, 0, samples)
+
+    C = griffiths_sample(1, 3, terms=3, seed=5)
+    est = pushforward_numeric(FlagChart((0, 1, 3), 1), "c1(U1)^2", C, SamplerConfig(num_samples=30000, seed=4))
+    assert est.form.terms == {(0, 0): 1.0000000000000002} and est.stderr == {(0, 0): 0.0}
+    assert est.vertical_audit_defect == est.mixed_block_defect == 0.0
+
+    # a degree-1 integrand depends on the rotation: one draw per chunk
+    draws = []
+
+    def counted(rng, r, count):
+        draws.append(count)
+        return haar(rng, r, count)
+
+    monkeypatch.setattr(flagnum, "_haar_unitaries", counted)
+    est = pushforward_numeric(chart, "c1(U1)^2", griffiths_sample(1, 2, terms=2, seed=8), SamplerConfig(300, 1, chunk=200))
+    assert draws == [200, 100] and est.stderr[(1, 1)] > 0
 
 
 def test_pushforward_numeric_of_a_constant_on_a_point_fiber():

@@ -509,8 +509,8 @@ def test_cached_frames_give_the_drawn_values(monkeypatch):
         got = positivity_values(gamma, samples=300, seed=seed)
         assert _bits(got) == _bits(_drawn_values(gamma, 300, seed))
     assert len(formlab._FRAMES._items) == 8
-    minors, conj = _random_frame_minors(2, 4, 300, 3)
-    for array in (*minors.values(), *conj.values()):
+    _, minors, conj = _random_frame_minors(2, 4, 300, 3)
+    for array in (minors, conj):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     # a Generator draws new frames on every call, as it did uncached
