@@ -58,7 +58,6 @@ from .flagnum import (
     curvature_at,
     curvature_center,
     frames_eps,
-    gram,
     metric_universal,
     pushforward_numeric,
     theta_intrinsic,

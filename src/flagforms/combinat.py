@@ -275,24 +275,33 @@ def root_blocks(rho):
 
 
 def partitions_of(k, max_part=None, max_length=None):
-    """Yield the partitions of k with bounded part size and length."""
+    """Yield the partitions of k with bounded part size and length, largest
+    first part first, then largest second part, and so on.  An explicit
+    stack holds one iterator of candidates per part, so no part count
+    reaches the recursion limit."""
     if max_part is None:
         max_part = k
     if max_length is None:
         max_length = k if k > 0 else 0
-
-    def rec(remaining, cap, slots):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    for parts in rec(k, max_part, max_length):
-        yield Partition(parts)
+    if k == 0:
+        yield Partition(())
+        return
+    parts, remaining = [], k
+    stack = [iter(range(min(k, max_part), 0, -1))] if max_length else []
+    while stack:
+        part = next(stack[-1], None)
+        if part is None:  # every candidate tried: back to the part before
+            stack.pop()
+            remaining += parts.pop() if parts else 0
+            continue
+        parts.append(part)
+        remaining -= part
+        if remaining and len(parts) < max_length:
+            stack.append(iter(range(min(remaining, part), 0, -1)))
+            continue
+        if not remaining:
+            yield Partition(tuple(parts))
+        remaining += parts.pop()
 
 
 def dimension_sequences(r, min_steps=1):

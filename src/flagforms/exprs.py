@@ -9,7 +9,8 @@ Grammar:
     bundle := 'E' | 'U' nat | 'U' nat '/' 'U' nat | 'Q' nat
 
 Bundle references are resolved against a declared dimension sequence
-elsewhere; the parser only checks shape.
+elsewhere; the parser only checks shape.  Parentheses nest at most
+``MAX_DEPTH`` deep; deeper input is a ParseError.
 """
 
 from dataclasses import dataclass
@@ -99,11 +100,17 @@ def _tokenize(text):
     return tokens
 
 
+#: most parentheses an expression may nest; the parser and the walkers
+#: recurse per level, and this keeps them within Python's recursion limit
+MAX_DEPTH = 248
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -127,19 +134,17 @@ class _Parser:
         return Sum(tuple(items)) if len(items) > 1 or items[0][0] < 0 else items[0][1]
 
     def parse_term(self):
-        factors = [self.parse_factor()]
-        while self.peek()[0] == "*":
+        """Factors, each an atom with an optional '^' exponent, joined by
+        '*'; one frame per term, so a parenthesis costs three."""
+        factors = []
+        while True:
+            factors.append(self.parse_atom())
+            if self.peek()[0] == "^":
+                self.next()
+                factors[-1] = Power(factors[-1], self.expect("NUM")[1])
+            if self.peek()[0] != "*":
+                return Product(tuple(factors)) if len(factors) > 1 else factors[0]
             self.next()
-            factors.append(self.parse_factor())
-        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
-
-    def parse_factor(self):
-        base = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.next()
-            tok = self.expect("NUM")
-            return Power(base, tok[1])
-        return base
 
     def parse_atom(self):
         tok = self.next()
@@ -158,8 +163,12 @@ class _Parser:
             self.expect(")")
             return ChernSym(value, bundle)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError("expression nested too deeply", pos)
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {kind!r}", pos)
 

@@ -11,26 +11,27 @@ the point a chart center carries it there (``_exact_coeffs``, behind
 ``curvature_at``); over Haar-random rotations it is the Monte Carlo
 integrand, and with a given unitary frame ``theta_intrinsic``.
 
-The independent route differentiates the metric model instead: one
-evaluation of the induced metric in jets, C[eps_a, epsbar_b] / (eps_a
-eps_c, epsbar_b epsbar_d) with one eps per chart generator, gives the
-metric and its first and mixed second derivatives exactly, up to rounding
-(``_metric_jet``, behind ``_curvature_coeffs``).  It shares no formula with
-the center formula and takes every block from the metric, the base block
-too.  It audits every Monte Carlo run and serves the curvature suite's
-mixed-block checks and the tests.  Fourth-order central finite differences
-on the metric (``_Stencils``, behind ``_stencil_coeffs``) remain as the
-route of the curvature suite's "vs finite differences" check and as the
-jets' test oracle.
+The metric model is written once, in the samples-last metric kernel
+(``_induced_metric``): the Gram matrix of the bundle's frame columns in the
+ambient metric and the Schur complement of its sub block, products and an
+inverse of small matrices, as in the transport.  It gives the plain metric
+(``metric_universal``, ``splitting_u``, the stencils) and, run on jets,
+C[eps_a, epsbar_b] / (eps_a eps_c, epsbar_b epsbar_d) with one eps per
+chart generator, the metric with its first and mixed second derivatives,
+exact up to rounding.
+
+The jets are the independent route (``_curvature_coeffs``): they share no
+formula with the center formula and give every block of the curvature, the
+base block too.  They audit every Monte Carlo run and serve the curvature
+suite's mixed-block checks and the tests.  Fourth-order central finite
+differences on the metric (``_Stencils``, behind ``_stencil_coeffs``)
+remain as the route of the curvature suite's "vs finite differences" check
+and as the jets' test oracle.
 
 Curvature coefficients are dicts keyed by pairs (a, b) of chart
 generator indices: z_1..z_n, then one zeta per admissible pair.  The
 finite-difference stencils take the same index and shift generator a
-(and b) by its own step, every stencil in one call of the samples-last
-metric kernel (``_induced_metric``), which also serves
-``metric_universal``: the Gram matrix of the bundle's frame columns and
-the Schur complement of its sub block, products and an inverse of small
-matrices, as in the transport and the jets.
+(and b) by its own step, every stencil in one plain call of the kernel.
 
 Per-sample arrays are laid out samples last: N fiber points are (d, N),
 and small matrices (rank, rank, ..., N), matrix axes first, so a product
@@ -64,7 +65,7 @@ from .formlab import (
     chern_forms,
 )
 from .gysin import pushforward_dp
-from .rootcalc import _resolve_symbol, expand_expression
+from .rootcalc import UniversalBundleSpec, _resolve_symbol, expand_expression
 
 #: default fourth-order finite-difference step of the oracle stencils
 FD_STEP = 1e-3
@@ -141,147 +142,7 @@ def _chart(rho, n):
     return FlagChart(rho, n)
 
 
-# -- frames and metrics ------------------------------------------------------
-
-
-def _zeta(chart, p):
-    """The zeta coordinates of a ChartPoint or of an array whose last axis
-    runs over the fiber coordinates; raises unless there are d of them."""
-    zeta = p.zeta if isinstance(p, ChartPoint) else np.asarray(p, dtype=complex)
-    if zeta.shape[-1:] != (chart.d,):
-        got = zeta.shape[-1] if zeta.ndim else 0
-        raise ValueError(f"a point of this fiber has {chart.d} coordinates, got {got}")
-    return zeta
-
-
-def frames_eps(chart, p):
-    """Frame coefficients at a chart point or a batch of them: column alpha
-    holds epsilon_alpha in the ambient basis, i.e. the identity plus
-    zeta_(lam,mu) at (lam-1, mu-1)."""
-    zeta = _zeta(chart, p)
-    shape = zeta.shape[:-1]
-    V = _frames(chart, _samples_last(zeta, shape))
-    return np.moveaxis(V, -1, 0).reshape(shape + V.shape[:2])
-
-
-def _frames(chart, Z):
-    """Frames samples last, (r, r, N), from (d, N) fiber coordinates."""
-    r = chart.r
-    V = np.zeros((r, r, Z.shape[1]), dtype=complex)
-    V[range(r), range(r)] = 1.0
-    if chart.d:
-        V[[lam - 1 for lam, _ in chart.pairs], [mu - 1 for _, mu in chart.pairs]] = Z
-    return V
-
-
-def _ambient_metric(C, z):
-    """Synthetic ambient metric delta - sum c[j,k,a,b] z_j conj(z_k)."""
-    z = np.asarray(z, dtype=complex)
-    He = np.zeros(z.shape[:-1] + (C.r, C.r), dtype=complex)
-    He[...] = np.eye(C.r)
-    if np.any(z != 0):
-        n, r = C.n, C.r
-        zz = (z[..., :, None] * np.conj(z)[..., None, :]).reshape(z.shape[:-1] + (n * n,))
-        He = He - (zz @ C.coeffs.reshape(n * n, r * r)).reshape(He.shape)
-    return He
-
-
-def gram(chart, p, C=None, z=None):
-    """Gram matrix G[a,b] = <eps_a, eps_b> of the frame at a chart point;
-    the metric of the ambient basis is flat unless (C, z) are supplied."""
-    V = frames_eps(chart, p)
-    Vbar = np.conj(V)
-    if C is not None and z is not None and np.any(z):
-        Vbar = np.einsum("...lm,...mb->...lb", _ambient_metric(C, z), Vbar)
-    return np.einsum("...la,...lb->...ab", V, Vbar)
-
-
-def _bundle_slices(spec):
-    """0-based frame index lists: the quotient block and the sub block."""
-    return [i - 1 for i in spec.block()], [i - 1 for i in spec.sub_block()]
-
-
-def _induced_metric(chart, spec, zeta, C=None, z=None):
-    """Induced metric of the universal bundle, samples last: zeta is a
-    (d, N) array, one length-N vector per fiber coordinate, and z an
-    (n, N) array of base offsets, or None when z = 0; returns (rk, rk, N).
-
-    Only the frame columns V of the bundle's block and of its sub block
-    enter, which are contiguous up to r, the block first.  Their Gram
-    matrix is G = V^T W with W = He conj(V), where the ambient metric
-    He = I - delta, delta = sum c[j,k] z_j conj(z_k), enters only when z
-    is given.  A proper quotient's metric is the Schur complement
-    A - B D^-1 B^H of the sub block D, a Gram block, Hermitian positive
-    definite.  A point whose Gram matrix is not finite gives NaN.
-    """
-    q_idx, s_idx = _bundle_slices(spec)
-    V = _frames(chart, zeta)[:, q_idx[0] :]
-    W = np.conj(V)
-    if z is not None and C.n:
-        n, r = C.n, chart.r
-        zz = (z[:, None] * np.conj(z)[None, :]).reshape(n * n, -1)
-        delta = _dot(C.coeffs.reshape(n * n, r * r).T, zz).reshape(r, r, -1)
-        W -= _dot(delta, W)
-    G = _dot(np.swapaxes(V, 0, 1), W)
-    rk = len(q_idx)
-    A, B = G[:rk, :rk], G[:rk, rk:]
-    H = A - _dot(_dot(B, _inverse(G[rk:, rk:])), _herm_t(B)) if s_idx else A
-    # |G[a, b]|^2 <= G[a, a] G[b, b], so an entry that is not finite shows
-    # on the diagonal
-    finite = np.isfinite(np.trace(G).real)
-    return H if finite.all() else np.where(finite, H, np.nan)
-
-
-def _samples_last(x, shape):
-    """(k, N): the last axis of x, broadcast to shape + (k,), turned into
-    one contiguous length-N row per entry, N = prod(shape)."""
-    k = x.shape[-1]
-    return np.ascontiguousarray(np.broadcast_to(x, shape + (k,)).reshape(math.prod(shape), k).T)
-
-
-def metric_universal(spec, C, z, p):
-    """Induced metric of the universal bundle at base offset z and fiber
-    point p, either of them batched; raises when the synthetic ambient
-    metric stops being positive definite (z too large)."""
-    chart = chart_for(spec, C.n)
-    zeta = _zeta(chart, p)
-    z = np.zeros(C.n, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    try:
-        np.linalg.cholesky(_ambient_metric(C, z))
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "synthetic ambient metric is not positive definite at this z"
-        ) from None
-    shape = np.broadcast_shapes(zeta.shape[:-1], z.shape[:-1])
-    z = _samples_last(z, shape) if np.any(z) else None
-    H = _induced_metric(chart, spec, _samples_last(zeta, shape), C, z)
-    return np.moveaxis(H, -1, 0).reshape(shape + H.shape[:2])
-
-
-def splitting_u(spec, C, z, p):
-    """Coefficients u[alpha, mu] of the smooth orthogonal splitting of the
-    quotient projection: the lift of the alpha-th quotient frame vector is
-    eps_alpha + sum_mu u[alpha, mu] eps_mu over the sub-bundle frame.  To
-    first order at the chart center, u[alpha, mu] = -conj(zeta_(alpha,mu))."""
-    if spec.ell == 0:
-        raise ValueError("splitting coefficients need a proper quotient (ell >= 1)")
-    chart = chart_for(spec, C.n)
-    z = np.zeros(C.n, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    G = gram(chart, p, C, z)
-    q_idx, s_idx = _bundle_slices(spec)
-    B = G[..., q_idx, :][..., :, s_idx]
-    D = G[..., s_idx, :][..., :, s_idx]
-    X = np.linalg.solve(D, np.conj(np.swapaxes(B, -1, -2)))
-    return -np.conj(np.swapaxes(X, -1, -2))
-
-
-# -- curvature ---------------------------------------------------------------
-
-#: most shifted points that one metric-kernel call of the stencils holds;
-#: the kernel's temporaries grow with them
-_STENCIL_COLUMNS = 6144
-_W1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # f' stencil, / 12h
-_W2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # f'', / 12h^2
+# -- small matrices and their jets -------------------------------------------
 
 
 def _herm_t(X):
@@ -310,6 +171,193 @@ def _inverse(H):
         A -= A[:, k, None] * row[None]
         A[k], A[:, k], A[k, k] = row, col, -inv
     return -A
+
+
+def _jet_dot(A, B):
+    """Products of samples-last matrix jets by the Leibniz rule.  A jet
+    (value, d, dbar, d dbar) of shapes (i, j, ...), (i, j, G, ...) twice and
+    (i, j, G, G, ...) is a matrix over C[eps_a, epsbar_b] / (eps_a eps_c,
+    epsbar_b epsbar_d), one eps per chart generator g_a."""
+    (v, d, e, s), (w, f, g, t) = A, B
+    v1, w1 = v[:, :, None], w[:, :, None]
+    return (
+        _dot(v, w),
+        _dot(d, w1) + _dot(v1, f),
+        _dot(e, w1) + _dot(v1, g),
+        _dot(s, w1[:, :, None]) + _dot(d[:, :, :, None], g[:, :, None])
+        + _dot(e[:, :, None], f[:, :, :, None]) + _dot(v1[:, :, None], t),
+    )
+
+
+def _jet_conj(A):
+    """The complex conjugate of a jet: conjugation swaps d and dbar."""
+    v, d, e, s = A
+    return np.conj(v), np.conj(e), np.conj(d), np.conj(np.swapaxes(s, 2, 3))
+
+
+def _jet_t(A):
+    """The transpose of a matrix jet."""
+    return tuple(np.swapaxes(x, 0, 1) for x in A)
+
+
+def _jet_inverse(A):
+    """Inverses of jets of positive definite matrices: X = A^-1,
+    X_a = -X A_a X, X_b = -X A_b X and X_ab = -X (A_ab X + A_a X_b + A_b X_a)
+    for d_a, dbar_b and d_a dbar_b."""
+    v, d, e, s = A
+    X = _inverse(v)
+    X1 = X[:, :, None]
+    Xd, Xe = (-_dot(_dot(X1, y), X1) for y in (d, e))
+    cross = _dot(d[:, :, :, None], Xe[:, :, None]) + _dot(e[:, :, None], Xd[:, :, :, None])
+    return X, Xd, Xe, -_dot(X1[:, :, None], _dot(s, X1[:, :, None]) + cross)
+
+
+# -- frames and metrics ------------------------------------------------------
+
+
+def _zeta(chart, p):
+    """The zeta coordinates of a ChartPoint or of an array whose last axis
+    runs over the fiber coordinates; raises unless there are d of them."""
+    zeta = p.zeta if isinstance(p, ChartPoint) else np.asarray(p, dtype=complex)
+    if zeta.shape[-1:] != (chart.d,):
+        got = zeta.shape[-1] if zeta.ndim else 0
+        raise ValueError(f"a point of this fiber has {chart.d} coordinates, got {got}")
+    return zeta
+
+
+def frames_eps(chart, p):
+    """Frame coefficients at a chart point or a batch of them: column alpha
+    holds epsilon_alpha in the ambient basis, i.e. the identity plus
+    zeta_(lam,mu) at (lam-1, mu-1)."""
+    zeta = _zeta(chart, p)
+    shape = zeta.shape[:-1]
+    return _samples_first(_frames(chart, _samples_last(zeta, shape)), shape)
+
+
+def _frames(chart, Z):
+    """Frames samples last, (r, r, N), from (d, N) fiber coordinates."""
+    r = chart.r
+    V = np.zeros((r, r, Z.shape[1]), dtype=complex)
+    V[range(r), range(r)] = 1.0
+    if chart.d:
+        V[[lam - 1 for lam, _ in chart.pairs], [mu - 1 for _, mu in chart.pairs]] = Z
+    return V
+
+
+def _bundle_slices(spec):
+    """0-based frame index lists: the quotient block and the sub block."""
+    return [i - 1 for i in spec.block()], [i - 1 for i in spec.sub_block()]
+
+
+def _delta(C, z):
+    """delta = sum c[j,k] z_j conj(z_k), (r, r, N), at samples-last base
+    offsets z (n, N): the synthetic ambient metric is I - delta."""
+    n, r = C.n, C.r
+    zz = (z[:, None] * np.conj(z)[None, :]).reshape(n * n, -1)
+    return _dot(C.coeffs.reshape(n * n, r * r).T, zz).reshape(r, r, -1)
+
+
+def _induced_metric(chart, spec, Z, C=None, z=None, jet=False):
+    """Induced metric of the universal bundle, samples last: Z is a (d, N)
+    array, one length-N vector per fiber coordinate, and z an (n, N) array
+    of base offsets, or None when z = 0; returns (rk, rk, N).
+
+    Only the frame columns V of the bundle's block and of its sub block
+    enter, which are contiguous up to r, the block first.  Their Gram
+    matrix is G = V^T W with W = He conj(V), where the ambient metric
+    He = I - delta enters only when z is given.  A proper quotient's metric
+    is the Schur complement A - B D^-1 B^H of the sub block D, a Gram
+    block, Hermitian positive definite.  A point whose Gram matrix is not
+    finite gives NaN.
+
+    With jet, at z = 0, the same steps run on jets in the n + d chart
+    generators, hyper-dual numbers (Fike and Alonso, AIAA paper 2011-886),
+    and return the exact (H, dH, dbarH, d dbarH), shaped (rk, rk, N),
+    (rk, rk, n + d, N) twice and (rk, rk, n + d, n + d, N): d V = 1 at
+    (lam - 1, mu - 1) along zeta_(lam,mu), and d_j dbar_k He = -c[j,k].
+    Without it the derivative parts have no generator, and H is the value.
+    """
+    q_idx, s_idx = _bundle_slices(spec)
+    n, d, r, N = chart.n, chart.d, chart.r, Z.shape[1]
+    dV = np.zeros((r, r, n + d if jet else 0, N), dtype=complex)
+    if jet and d:
+        dV[[lam - 1 for lam, _ in chart.pairs], [mu - 1 for _, mu in chart.pairs], range(n, n + d)] = 1.0
+    cols = slice(q_idx[0], None)
+    dV = dV[:, cols]
+    V = (_frames(chart, Z)[:, cols], dV, np.zeros_like(dV), np.zeros(dV.shape[:3] + dV.shape[2:], dtype=complex))
+    W = _jet_conj(V)
+    if z is not None and n:
+        W[0][:] -= _dot(_delta(C, z), W[0])
+    if jet and n:
+        c = np.moveaxis(C.coeffs, (0, 1), (2, 3))[..., None]  # (r, r, n, n, 1)
+        W[3][:, :, :n, :n] -= _dot(c, W[0][:, :, None, None])
+    G = _jet_dot(_jet_t(V), W)
+    rk = len(q_idx)
+    H = A = tuple(x[:rk, :rk] for x in G)
+    if s_idx:
+        B, D = tuple(x[:rk, rk:] for x in G), tuple(x[rk:, rk:] for x in G)
+        BXBh = _jet_dot(_jet_dot(B, _jet_inverse(D)), _jet_t(_jet_conj(B)))
+        H = tuple(a - b for a, b in zip(A, BXBh))
+    # an entry that is not finite shows on the diagonal: |G[a, b]|^2 <= G[a, a] G[b, b]
+    finite = np.isfinite(np.trace(G[0]).real)
+    H = H if finite.all() else tuple(np.where(finite, x, np.nan) for x in H)
+    return H if jet else H[0]
+
+
+def _samples_last(x, shape):
+    """(k, N): the last axis of x, broadcast to shape + (k,), turned into
+    one contiguous length-N row per entry, N = prod(shape)."""
+    k = x.shape[-1]
+    return np.ascontiguousarray(np.broadcast_to(x, shape + (k,)).reshape(math.prod(shape), k).T)
+
+
+def _samples_first(X, shape):
+    """Samples-last small matrices (i, j, N) as shape + (i, j)."""
+    return np.moveaxis(X, -1, 0).reshape(shape + X.shape[:2])
+
+
+def _metric(spec, C, z, p):
+    """``metric_universal`` samples last, with the batch shape."""
+    chart = chart_for(spec, C.n)
+    zeta = _zeta(chart, p)
+    z = np.zeros(C.n, dtype=complex) if z is None else np.asarray(z, dtype=complex)
+    if np.any(z):
+        He = np.eye(C.r)[:, :, None] - _delta(C, _samples_last(z, z.shape[:-1]))
+        if not np.all(np.linalg.eigvalsh(np.moveaxis(He, -1, 0)) > 0):
+            raise ValueError("synthetic ambient metric is not positive definite at this z")
+    shape = np.broadcast_shapes(zeta.shape[:-1], z.shape[:-1])
+    z = _samples_last(z, shape) if np.any(z) else None
+    return _induced_metric(chart, spec, _samples_last(zeta, shape), C, z), shape
+
+
+def metric_universal(spec, C, z, p):
+    """Induced metric of the universal bundle at base offset z and fiber
+    point p, either of them batched; raises when the synthetic ambient
+    metric stops being positive definite (z too large)."""
+    return _samples_first(*_metric(spec, C, z, p))
+
+
+def splitting_u(spec, C, z, p):
+    """Coefficients u[alpha, mu] of the smooth orthogonal splitting of the
+    quotient projection: the lift of the alpha-th quotient frame vector is
+    eps_alpha + sum_mu u[alpha, mu] eps_mu over the sub-bundle frame.  To
+    first order at the chart center, u[alpha, mu] = -conj(zeta_(alpha,mu)).
+    It is -B D^-1 in the metric of U_l, whose Gram matrix has the bundle's
+    block, then its sub block."""
+    if spec.ell == 0:
+        raise ValueError("splitting coefficients need a proper quotient (ell >= 1)")
+    G, shape = _metric(UniversalBundleSpec(spec.rho, 0, spec.l), C, z, p)
+    rk = spec.rank
+    return _samples_first(-_dot(G[:rk, rk:], _inverse(G[rk:, rk:])), shape)
+
+
+# -- curvature ---------------------------------------------------------------
+
+#: most shifted points that one metric-kernel call of the stencils holds;
+#: the kernel's temporaries grow with them
+_STENCIL_COLUMNS = 6144
+_W1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # f' stencil, / 12h
+_W2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # f'', / 12h^2
 
 
 def _qr(X):
@@ -410,10 +458,10 @@ class _Stencils:
         return out[0], dict(zip(diag + mixed, np.moveaxis(np.concatenate(out[1:], axis=2), 2, 0)))
 
     def jet(self):
-        """The metric and its derivatives at the points in the layout of
-        ``_metric_jet``, (H, dH, dbarH, d dbarH).  The metric is Hermitian:
-        dbarH is (dH)^H, and the lower triangles of the vertical and the
-        horizontal block of d dbarH mirror the upper ones."""
+        """The metric and its derivatives at the points in the jet layout
+        of ``_induced_metric``, (H, dH, dbarH, d dbarH).  The metric is
+        Hermitian: dbarH is (dH)^H, and the lower triangles of the vertical
+        and the horizontal block of d dbarH mirror the upper ones."""
         n = self.chart.n
         H0 = _induced_metric(self.chart, self.spec, self.x[n:])
         pairs = _curvature_pairs(self.chart)
@@ -425,84 +473,6 @@ class _Stencils:
         for (a, b), m in zip(pairs, mirror):
             full[:, :, a, b] = _herm_t(S[b, a]) if m else S[a, b]
         return H0, P, _herm_t(P), full
-
-
-# -- jets: the metric and its derivatives from one evaluation ------------------
-
-
-def _jet_dot(A, B):
-    """Products of samples-last matrix jets by the Leibniz rule.  A jet
-    (value, d, dbar, d dbar) of shapes (i, j, ...), (i, j, G, ...) twice and
-    (i, j, G, G, ...) is a matrix over C[eps_a, epsbar_b] / (eps_a eps_c,
-    epsbar_b epsbar_d), one eps per chart generator g_a."""
-    (v, d, e, s), (w, f, g, t) = A, B
-    v1, w1 = v[:, :, None], w[:, :, None]
-    return (
-        _dot(v, w),
-        _dot(d, w1) + _dot(v1, f),
-        _dot(e, w1) + _dot(v1, g),
-        _dot(s, w1[:, :, None]) + _dot(d[:, :, :, None], g[:, :, None])
-        + _dot(e[:, :, None], f[:, :, :, None]) + _dot(v1[:, :, None], t),
-    )
-
-
-def _jet_conj(A):
-    """The complex conjugate of a jet: conjugation swaps d and dbar."""
-    v, d, e, s = A
-    return np.conj(v), np.conj(e), np.conj(d), np.conj(np.swapaxes(s, 2, 3))
-
-
-def _jet_t(A):
-    """The transpose of a matrix jet."""
-    return tuple(np.swapaxes(x, 0, 1) for x in A)
-
-
-def _jet_inverse(A):
-    """Inverses of jets of positive definite matrices: X = A^-1,
-    X_a = -X A_a X, X_b = -X A_b X and X_ab = -X (A_ab X + A_a X_b + A_b X_a)
-    for d_a, dbar_b and d_a dbar_b."""
-    v, d, e, s = A
-    X = _inverse(v)
-    X1 = X[:, :, None]
-    Xd, Xe = (-_dot(_dot(X1, y), X1) for y in (d, e))
-    cross = _dot(d[:, :, :, None], Xe[:, :, None]) + _dot(e[:, :, None], Xd[:, :, :, None])
-    return X, Xd, Xe, -_dot(X1[:, :, None], _dot(s, X1[:, :, None]) + cross)
-
-
-def _metric_jet(chart, spec, C, Z):
-    """The induced metric of ``_induced_metric`` at z = 0 and the fiber
-    points Z (d, N), as one jet in the n + d chart generators:
-    (H, dH, dbarH, d dbarH), shaped (rk, rk, N), (rk, rk, n + d, N) twice
-    and (rk, rk, n + d, n + d, N).  These are hyper-dual numbers (Fike and
-    Alonso, AIAA paper 2011-886): exact derivatives, with no step, so the
-    only error is rounding.
-
-    The frame columns V = I + zeta are holomorphic, with d V = 1 at
-    (lam - 1, mu - 1) along zeta_(lam,mu); W is their conjugate times the
-    ambient metric I - delta, whose only derivative at z = 0 is
-    d_j dbar_k = -c[j,k]; the metric is the Gram matrix G = V^T W, or the
-    Schur complement A - B D^-1 B^H of its sub block.
-    """
-    q_idx, s_idx = _bundle_slices(spec)
-    n, d, r, N = chart.n, chart.d, chart.r, Z.shape[1]
-    dV = np.zeros((r, r, n + d, N), dtype=complex)
-    if d:
-        dV[[lam - 1 for lam, _ in chart.pairs], [mu - 1 for _, mu in chart.pairs], range(n, n + d)] = 1.0
-    cols = slice(q_idx[0], None)
-    zero = np.zeros((r, r - q_idx[0], n + d, n + d, N), dtype=complex)
-    V = (_frames(chart, Z)[:, cols], dV[:, cols], np.zeros_like(dV[:, cols]), zero)
-    W = _jet_conj(V)
-    if n:
-        c = np.moveaxis(C.coeffs, (0, 1), (2, 3))[..., None]  # (r, r, n, n, 1)
-        W[3][:, :, :n, :n] -= _dot(c, W[0][:, :, None, None])
-    G = _jet_dot(_jet_t(V), W)
-    rk = len(q_idx)
-    A = tuple(x[:rk, :rk] for x in G)
-    if not s_idx:
-        return A
-    B, D = tuple(x[:rk, rk:] for x in G), tuple(x[rk:, rk:] for x in G)
-    BXBh = _jet_dot(_jet_dot(B, _jet_inverse(D)), _jet_t(_jet_conj(B)))
-    return tuple(a - b for a, b in zip(A, BXBh))
 
 
 def _base_coeffs(W, C, H0inv):
@@ -600,7 +570,7 @@ def _coeffs_from(spec, C, zeta, route):
     """Curvature coefficients at z = 0 over a batch of fiber points from a
     route to the metric and its derivatives: ``route(chart, Z)`` takes the
     points samples last, (d, N), and returns the jet layout of
-    ``_metric_jet``, (H, dH, dbarH, d dbarH)."""
+    ``_induced_metric``, (H, dH, dbarH, d dbarH)."""
     chart = chart_for(spec, C.n)
     zeta = _zeta(chart, zeta)
     shape = zeta.shape[:-1]
@@ -618,8 +588,8 @@ def _coeffs_from(spec, C, zeta, route):
 
 def _curvature_coeffs(spec, C, zeta):
     """Coefficient arrays of the curvature at z = 0 over a batch of fiber
-    points, every block from one jet evaluation of the metric
-    (``_metric_jet``): exact up to rounding, and sharing no formula with
+    points, every block from one jet evaluation of the metric kernel
+    (``_induced_metric``): exact up to rounding, and sharing no formula with
     the center formula.
 
     Returns (coeffs, H0, H0inv): a dict keyed by generator-index pairs
@@ -628,7 +598,7 @@ def _curvature_coeffs(spec, C, zeta):
     dbar(dH H^-1), whose (alpha, beta) entry feeds the FormMatrix entry
     (beta, alpha) -- plus the metric and its inverse at the points.
     """
-    return _coeffs_from(spec, C, zeta, lambda chart, Z: _metric_jet(chart, spec, C, Z))
+    return _coeffs_from(spec, C, zeta, lambda chart, Z: _induced_metric(chart, spec, Z, C, jet=True))
 
 
 def _stencil_coeffs(spec, C, zeta):

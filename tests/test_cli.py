@@ -297,6 +297,29 @@ def test_verify_rejects_a_seed_the_streams_cannot_key(capsys, seed):
     assert err == f"error: --seed of suite 'gysin-numeric' must be at most {2**64 - 2}, got {seed}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, key, parts, coefficient",
+    [
+        (["schur-decompose", "--rank", "1", "--expr", "c1(E)^1100"], "coordinates", 1100, "1"),
+        (["pushforward", "--rho", "0,1,2", "--expr", "c1(U1)^1000"], "schur_coordinates", 999, "-1"),
+    ],
+)
+def test_partitions_longer_than_the_recursion_limit(capsys, argv, key, parts, coefficient):
+    # the Schur coordinates peel partitions with one part per degree
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)[key] == [[[1] * parts, coefficient]]
+
+
+@pytest.mark.parametrize("command", [["pushforward", "--rho", "0,1,2"], ["schur-decompose", "--rank", "2"]])
+def test_deeply_nested_expression_is_a_usage_error(capsys, command):
+    depth = 1200
+    code, out, err = run(capsys, *command, "--expr", "(" * depth + "c1(E)" + ")" * depth)
+    assert code == 2
+    assert out == ""
+    assert err == "error: expression nested too deeply (at position 248)\n"
+
+
 def test_conventions_do_not_depend_on_earlier_work(capsys):
     from flagforms import gysin
 

@@ -60,6 +60,34 @@ def test_conjugate_involution():
             assert sigma.conjugate().conjugate() == sigma
 
 
+def _recursive_partitions(k, max_part, max_length):
+    """The recursive generator, one frame per part: the order oracle."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, max_part), 0, -1) if max_length else ():
+        for rest in _recursive_partitions(k - first, first, max_length - 1):
+            yield (first,) + rest
+
+
+def test_partitions_come_in_the_order_of_the_recursive_generator():
+    for k in range(16):
+        for max_part in (None, 0, 1, 2, 3, 5, 16):
+            for max_length in (None, 0, 1, 2, 4, 7, 16):
+                got = [p.parts for p in partitions_of(k, max_part, max_length)]
+                want = _recursive_partitions(k, k if max_part is None else max_part,
+                                             k if max_length is None else max_length)
+                assert got == list(want), (k, max_part, max_length)
+
+
+def test_partitions_with_more_parts_than_the_recursion_limit():
+    ones = list(partitions_of(1100, max_part=1))
+    assert [p.parts for p in ones] == [(1,) * 1100]
+    tall = partitions_of(1100, max_part=2)
+    assert next(tall).parts == (2,) * 550
+    assert sum(1 for _ in tall) == 550
+
+
 @pytest.mark.parametrize(
     "sigma,r,expected",
     [

@@ -6,6 +6,7 @@ from flagforms.exprs import (
     BundleRef,
     ChernSym,
     Lit,
+    MAX_DEPTH,
     ParseError,
     chern_symbols,
     degrees,
@@ -66,3 +67,25 @@ def test_evaluate_in_fraction_ring():
 def test_degrees_of_power():
     assert degrees(parse("c2(E)^3")) == {6}
     assert degrees(parse("c1(E)*c2(E) + c3(E)")) == {3}
+
+
+def _nested(depth):
+    # every level a sum, raised and multiplied: three nodes per parenthesis
+    return "(" * depth + "c1(E)" + " + c1(E))^1*1" * depth
+
+
+def test_nesting_up_to_the_limit_parses_and_evaluates():
+    node = parse("(" * MAX_DEPTH + "c1(E)" + ")" * MAX_DEPTH)
+    assert node == parse("c1(E)")
+    node = parse(_nested(MAX_DEPTH))
+    assert degrees(node) == {1}
+    assert chern_symbols(node) == [(1, BundleRef("E"))] * (MAX_DEPTH + 1)
+    assert evaluate(node, const=lambda q: q, chern=lambda j, ref: Fraction(1)) == MAX_DEPTH + 1
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200, 10**4])
+def test_deeper_nesting_is_a_parse_error(depth):
+    for text in ("(" * depth + "c1(E)" + ")" * depth, _nested(depth)):
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            parse(text)
+        assert info.value.pos == MAX_DEPTH  # the first parenthesis too many

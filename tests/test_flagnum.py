@@ -13,7 +13,6 @@ from flagforms.flagnum import (
     curvature_at,
     curvature_center,
     frames_eps,
-    gram,
     metric_universal,
     pushforward_numeric,
     splitting_u,
@@ -60,11 +59,26 @@ def test_frames_complete_rank3_structure():
     assert V[1, 0] == 0 and V[2, 0] == 0 and V[2, 1] == 0
 
 
+def _gram(chart, p, C=None, z=None):
+    """The einsum reference for the Gram matrix G[a,b] = <eps_a, eps_b> of
+    the frame at a chart point or a batch of them, in the ambient metric
+    I - sum c[j,k] z_j conj(z_k) when z is given, else the flat one."""
+    V = frames_eps(chart, p)
+    Vbar = np.conj(V)
+    if z is not None:
+        z = np.asarray(z, dtype=complex)
+        He = np.eye(C.r) - np.einsum("...j,...k,jkab->...ab", z, np.conj(z), C.coeffs)
+        Vbar = np.einsum("...lm,...mb->...lb", He, Vbar)
+    return np.einsum("...la,...lb->...ab", V, Vbar)
+
+
 def test_gram_center_identity_and_cross_term():
-    chart = FlagChart((0, 1, 2), 1)
-    assert np.allclose(gram(chart, ChartPoint.center(chart)), np.eye(2))
+    # the metric of E is the Gram matrix of the whole frame
+    spec = UniversalBundleSpec((0, 1, 2), 0, 2)
+    C = CurvatureTensor.zero(1, 2)
+    assert np.allclose(metric_universal(spec, C, None, ChartPoint([0])), np.eye(2))
     z = 0.3 - 0.7j
-    G = gram(chart, ChartPoint([z]))
+    G = metric_universal(spec, C, None, ChartPoint([z]))
     assert np.isclose(G[0, 1], np.conj(z))  # <eps_1, eps_2> carries conj(zeta)
     assert np.isclose(G[1, 1], 1 + abs(z) ** 2)
 
@@ -74,7 +88,7 @@ def test_gram_tautological_block():
     chart = FlagChart(rho, 1)
     rng = np.random.default_rng(3)
     zeta = rng.standard_normal(chart.d) + 1j * rng.standard_normal(chart.d)
-    G = gram(chart, ChartPoint(zeta))
+    G = metric_universal(UniversalBundleSpec(rho, 0, 2), CurvatureTensor.zero(1, 4), None, ChartPoint(zeta))
     V = frames_eps(chart, ChartPoint(zeta))
     # entries (alpha, beta) in the sub-bundle block: delta + sum_l z_la conj(z_lb)
     for a in (2, 3):
@@ -93,11 +107,11 @@ def test_metric_universal_blocks_and_errors():
     # full filtration at z = 0 recovers the Gram matrix
     spec_full = UniversalBundleSpec(rho, 0, 2)
     H = metric_universal(spec_full, C, None, p)
-    assert np.allclose(H, gram(chart, p))
+    assert np.allclose(H, _gram(chart, p))
     # sub-bundle metric is the Gram sub-block
     spec_sub = UniversalBundleSpec(rho, 0, 1)
     H1 = metric_universal(spec_sub, C, None, p)
-    assert np.allclose(H1, gram(chart, p)[2:, 2:])
+    assert np.allclose(H1, _gram(chart, p)[2:, 2:])
     # large z makes the synthetic ambient metric indefinite
     with pytest.raises(ValueError):
         metric_universal(spec_sub, C, 100.0 * np.ones(2), p)
@@ -117,7 +131,7 @@ def _metric_from_gram(G, q_idx, s_idx):
 
 def _solve_route(chart, spec, zeta, C=None, z=None):
     """The reference with the samples-last signature of the metric kernel."""
-    G = gram(chart, zeta.T, C, None if z is None else z.T)
+    G = _gram(chart, zeta.T, C, None if z is None else z.T)
     return np.moveaxis(_metric_from_gram(G, *flagnum._bundle_slices(spec)), 0, -1)
 
 
@@ -135,7 +149,7 @@ def test_metric_kernel_matches_the_solve_reference(n):
         rng = np.random.default_rng(400 + i)
         zeta = 0.7 * (rng.standard_normal((6, chart.d)) + 1j * rng.standard_normal((6, chart.d)))
         for z in (None, 0.1 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))):
-            G = gram(chart, zeta, C, z)
+            G = _gram(chart, zeta, C, z)
             want = _metric_from_gram(G, *flagnum._bundle_slices(spec))
             scale = np.abs(G).max(axis=(-2, -1))[:, None, None]
             batch = metric_universal(spec, C, z, zeta)
@@ -164,7 +178,7 @@ def test_metric_kernel_is_nan_where_the_gram_matrix_is_not_finite():
         chart = chart_for(spec, 1)
         zeta = np.array(points, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            G = gram(chart, zeta)
+            G = _gram(chart, zeta)
             want = _metric_from_gram(G, *flagnum._bundle_slices(spec))
             got = metric_universal(spec, CurvatureTensor.zero(1, rho[-1]), None, zeta)
         for k in range(len(zeta)):
@@ -184,6 +198,28 @@ def test_splitting_first_order():
     # u[alpha, mu] ~ -conj(zeta_(alpha,mu)) for the admissible pairs
     assert abs(u[0, 0] + np.conj(zeta[chart.pair_index(1, 3)])) < 1e-3 * abs(zeta[0])
     assert abs(u[1, 0] + np.conj(zeta[chart.pair_index(2, 3)])) < 1e-3 * abs(zeta[1])
+
+
+def test_splitting_matches_the_solve_reference_and_refuses_an_indefinite_ambient_metric():
+    # -B D^-1 from the metric of U_l against the einsum Gram matrix and a
+    # solve, at z = 0 and z != 0, batched; a z at which I - delta is
+    # indefinite is refused, as metric_universal refuses it
+    for i, (rho, ell, l) in enumerate((((0, 1, 3), 1, 2), ((0, 1, 2, 4), 1, 3), ((0, 2, 4), 1, 2))):
+        spec = UniversalBundleSpec(rho, ell, l)
+        C = random_tensor(2, rho[-1], 70 + i)
+        chart = chart_for(spec, 2)
+        rng = np.random.default_rng(70 + i)
+        zeta = 0.7 * (rng.standard_normal((5, chart.d)) + 1j * rng.standard_normal((5, chart.d)))
+        for z in (None, 0.1 * (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))):
+            G = _gram(chart, zeta, C, z)
+            q_idx, s_idx = flagnum._bundle_slices(spec)
+            B, D = G[:, q_idx][:, :, s_idx], G[:, s_idx][:, :, s_idx]
+            want = -np.conj(np.swapaxes(np.linalg.solve(D, np.conj(np.swapaxes(B, 1, 2))), 1, 2))
+            got = splitting_u(spec, C, z, zeta)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(G).max(), (rho, ell, l)
+        with pytest.raises(ValueError, match="not positive definite"):
+            splitting_u(spec, C, 100.0 * np.ones(2), ChartPoint(zeta[0]))
 
 
 def test_splitting_requires_proper_quotient():
@@ -881,13 +917,13 @@ def test_curvature_coeffs_without_generators_are_empty():
 
 
 def test_one_kernel_call_for_all_stencils(monkeypatch):
-    # the curvature by finite differences: one call for the metric at the
-    # points and one for every stencil point of every derivative
-    calls, kernel = [], flagnum._induced_metric
+    # the curvature by finite differences: one plain call for the metric at
+    # the points and one for every stencil point of every derivative
+    calls, jets, kernel = [], [], flagnum._induced_metric
 
-    def counted(chart, spec, zeta, C=None, z=None):
-        calls.append(zeta.shape[1])
-        return kernel(chart, spec, zeta, C, z)
+    def counted(chart, spec, zeta, C=None, z=None, jet=False):
+        (jets if jet else calls).append(zeta.shape[1])
+        return kernel(chart, spec, zeta, C, z, jet)
 
     monkeypatch.setattr(flagnum, "_induced_metric", counted)
     spec = UniversalBundleSpec(DimensionSequence((0, 2, 4)), 1, 2)
@@ -895,18 +931,11 @@ def test_one_kernel_call_for_all_stencils(monkeypatch):
     flagnum._stencil_coeffs(spec, C, np.zeros((3, 4)))
     # 6 first derivatives of 8 moves, 4 vertical and 2 base diagonal ones of
     # 10, and 6 vertical, 1 base and 16 mixed pairs of 64 moves, at 3 points
-    assert calls == [3, 3 * (6 * 8 + 6 * 10 + 23 * 64)]
+    assert calls == [3, 3 * (6 * 8 + 6 * 10 + 23 * 64)] and jets == []
 
     # the Monte Carlo cases of the benchmark's mc-fiber pass: one audit
-    # each, one jet evaluation and no metric-kernel call
+    # each, one jet call of the kernel and no plain one
     calls.clear()
-    jets, metric_jet = [], flagnum._metric_jet
-
-    def counted_jet(chart, spec, C, Z):
-        jets.append(Z.shape[1])
-        return metric_jet(chart, spec, C, Z)
-
-    monkeypatch.setattr(flagnum, "_metric_jet", counted_jet)
     for rho, expr, seed in (((0, 1, 3), "c1(Q1)^2*c2(Q1)", 31), ((0, 2, 4), "c1(Q2)^4*c2(Q2)", 0)):
         C = griffiths_sample(2, rho[-1], terms=4, seed=seed)
         verify_main_theorem(FlagChart(rho, 2), expr, C, SamplerConfig(num_samples=200, seed=seed))
