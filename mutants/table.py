@@ -45,6 +45,22 @@ MUTANTS = [
         "        if k > 1:\n            rng = np.random.Generator(\n",
         [TESTS + "test_degree_zero_integrands_draw_no_rotation"],
     ),
+    # the integrand on slices of a chunk: every sample once, and the
+    # Hermitian defect of the whole chunk
+    (
+        "monte-carlo-slices-drop-the-partial-one",
+        FLAGNUM,
+        "            parts = [integrand(g[:, :, i : i + _MC_SLICE]) for i in range(0, count, _MC_SLICE)]\n",
+        "            parts = [integrand(g[:, :, i : i + _MC_SLICE]) for i in range(0, count - count % _MC_SLICE, _MC_SLICE)]\n",
+        [TESTS + "test_slicing_a_chunk_changes_no_bit"],
+    ),
+    (
+        "hermitian-defect-per-slice",
+        FLAGNUM,
+        "            hermitian.append(_hermitian_gap(coeffs))\n",
+        "            hermitian.append((_hermitian_defect(coeffs), 1.0))\n",
+        [TESTS + "test_slicing_a_chunk_changes_no_bit"],
+    ),
     # the one metric kernel: the plain metric of the stencils and the
     # metric functions, and the values under the jets
     (

@@ -293,7 +293,8 @@ def bundle_text(ref):
 
 
 def to_text(node):
-    """Print an AST back to parseable text."""
+    """Print an AST back to parseable text, one Python frame per tree level
+    like the parser, so every expression that parses prints."""
     if isinstance(node, Lit):
         v = node.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -302,19 +303,21 @@ def to_text(node):
     if isinstance(node, Sum):
         parts = []
         for i, (sign, item) in enumerate(node.items):
-            text = _wrap(item, need=isinstance(item, Sum))
+            text = _wrap(to_text(item), need=isinstance(item, Sum))
             if i == 0 and sign > 0:
                 parts.append(text)
             else:
                 parts.append(("- " if sign < 0 else "+ ") + text)
         return " ".join(parts)
     if isinstance(node, Product):
-        return "*".join(_wrap(f, need=isinstance(f, Sum)) for f in node.factors)
+        parts = []
+        for f in node.factors:  # a loop, not a generator: no frame of its own
+            parts.append(_wrap(to_text(f), need=isinstance(f, Sum)))
+        return "*".join(parts)
     if isinstance(node, Power):
-        return _wrap(node.base, need=isinstance(node.base, (Sum, Product))) + f"^{node.exponent}"
+        return _wrap(to_text(node.base), need=isinstance(node.base, (Sum, Product))) + f"^{node.exponent}"
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _wrap(node, need):
-    text = to_text(node)
+def _wrap(text, need):
     return f"({text})" if need else text

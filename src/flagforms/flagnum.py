@@ -43,9 +43,12 @@ is (rank, rank).
 Monte Carlo fiber integrals average the center formula over Haar-random
 rotations, drawn in fixed-size chunks with per-chunk counter-keyed random
 streams, so an estimate is bit-reproducible for a given seed no matter how
-the chunks would be distributed over workers.  An integrand of output
-degree 0 reads only the vertical block, which no rotation changes; it is
-evaluated once and draws nothing, with the estimate of the sampled route.
+the chunks would be distributed over workers.  The integrand of a chunk
+runs on slices of at most ``_MC_SLICE`` of its samples, so peak memory is
+that of one slice plus the chunk's draw, and the estimate does not depend
+on the slicing, bit for bit.  An integrand of output degree 0 reads only
+the vertical block, which no rotation changes; it is evaluated once and
+draws nothing, with the estimate of the sampled route.
 """
 
 import math
@@ -71,6 +74,9 @@ from .rootcalc import UniversalBundleSpec, _resolve_symbol, expand_expression
 FD_STEP = 1e-3
 #: Monte Carlo chunk size (fixed so results never depend on a worker split)
 MC_CHUNK = 65536
+#: most samples of a chunk whose integrand is evaluated at once: the forms
+#: of one slice bound the memory, and no estimate depends on the slicing
+_MC_SLICE = 2048
 #: relative defect at which the audit fails, and relative accuracy loss at
 #: which ``curvature_at`` refuses a point
 AUDIT_TOL = 1e-6
@@ -173,12 +179,22 @@ def _inverse(H):
     return -A
 
 
+def _plain(v):
+    """The jet of value v with no generator: empty derivative parts.  The
+    jet operations return one when they meet one, with the value alone
+    computed as in a jet that has generators."""
+    d = np.empty(v.shape[:2] + (0,) + v.shape[2:], dtype=complex)
+    return v, d, d, np.empty(v.shape[:2] + (0, 0) + v.shape[2:], dtype=complex)
+
+
 def _jet_dot(A, B):
     """Products of samples-last matrix jets by the Leibniz rule.  A jet
     (value, d, dbar, d dbar) of shapes (i, j, ...), (i, j, G, ...) twice and
     (i, j, G, G, ...) is a matrix over C[eps_a, epsbar_b] / (eps_a eps_c,
     epsbar_b epsbar_d), one eps per chart generator g_a."""
     (v, d, e, s), (w, f, g, t) = A, B
+    if not d.shape[2]:
+        return _plain(_dot(v, w))
     v1, w1 = v[:, :, None], w[:, :, None]
     return (
         _dot(v, w),
@@ -192,6 +208,8 @@ def _jet_dot(A, B):
 def _jet_conj(A):
     """The complex conjugate of a jet: conjugation swaps d and dbar."""
     v, d, e, s = A
+    if not d.shape[2]:
+        return _plain(np.conj(v))
     return np.conj(v), np.conj(e), np.conj(d), np.conj(np.swapaxes(s, 2, 3))
 
 
@@ -206,6 +224,8 @@ def _jet_inverse(A):
     for d_a, dbar_b and d_a dbar_b."""
     v, d, e, s = A
     X = _inverse(v)
+    if not d.shape[2]:
+        return _plain(X)
     X1 = X[:, :, None]
     Xd, Xe = (-_dot(_dot(X1, y), X1) for y in (d, e))
     cross = _dot(d[:, :, :, None], Xe[:, :, None]) + _dot(e[:, :, None], Xd[:, :, :, None])
@@ -626,19 +646,30 @@ def _audit_coeffs(spec, C, zeta, exact):
     return float(np.max(mixed, initial=0.0) / scale), float(np.max(vertical, initial=0.0) / scale)
 
 
-def _hermitian_defect(coeffs, H0=None, H0inv=None):
+def _hermitian_gap(coeffs, H0=None, H0inv=None):
     """Worst gap from M[(b, a)] = H0 M[(a, b)]^H H0^-1, the Hermitian
     symmetry of a Chern curvature in a frame with metric H0 (the identity
-    when H0 is not given: a unitary frame), relative to the largest
-    coefficient; NaN if one is NaN."""
+    when H0 is not given: a unitary frame), and the largest coefficient;
+    NaN if one is NaN.  Both are maxima, so those of a batch are the
+    maxima of those of its parts."""
     if H0 is None:
         gaps = [np.abs(M - _herm_t(coeffs[b, a])).max() for (a, b), M in coeffs.items()]
     else:  # every coefficient has the per-sample shape of H0: one stacked computation
         M = np.stack(list(coeffs.values()), axis=2)
         partner = _herm_t(np.stack([coeffs[b, a] for a, b in coeffs], axis=2))
         gaps = [np.abs(M - _dot(_dot(H0[:, :, None], partner), H0inv[:, :, None])).max()]
-    scale = np.max([np.abs(M).max() for M in coeffs.values()])
-    return float(np.max(gaps) / scale) if scale else 0.0
+    return np.max(gaps), np.max([np.abs(M).max() for M in coeffs.values()])
+
+
+def _relative(gap, scale):
+    """A gap relative to a scale, 0 at scale 0; NaN if either is NaN."""
+    return float(gap / scale) if scale else 0.0
+
+
+def _hermitian_defect(coeffs, H0=None, H0inv=None):
+    """The worst gap of ``_hermitian_gap`` relative to the largest
+    coefficient."""
+    return _relative(*_hermitian_gap(coeffs, H0, H0inv))
 
 
 def curvature_at(spec, C, p, with_report=False):
@@ -846,6 +877,11 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     on g reports 0, and are NaN with fewer than two finite samples; a sample
     that is not finite is dropped and counted.
 
+    The integrand runs on slices of at most ``_MC_SLICE`` samples of a
+    chunk, whose forms are all it holds at once: peak memory is that of one
+    slice plus the chunk's draw.  Every per-sample value is the same in any
+    slice, and the estimate does not depend on the slicing, bit for bit.
+
     At output degree k = 0 the integrand reads only the top vertical
     coefficient, built from the vertical block, which does not depend on g.
     Then it is evaluated once, at g = 1, and merged as every chunk's equal
@@ -858,7 +894,9 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     must match the center formula, both to AUDIT_TOL relative, or
     ArithmeticError is raised.  Both defects are reported on the estimate,
     with the Hermitian defect of the rotated center coefficients (of the
-    one evaluation at g = 1 when k = 0).
+    one evaluation at g = 1 when k = 0): per chunk and bundle the largest
+    gap over all slices relative to their largest coefficient, the worst
+    over chunks and bundles.
     """
     cfg = _as_sampler(sampler)
     if isinstance(F_expr, str):
@@ -909,33 +947,46 @@ def pushforward_numeric(chart, F_expr, C, sampler):
     hermitian_defect = 0.0  # np.maximum carries a NaN
 
     def integrand(g):
-        nonlocal hermitian_defect
-        curv = {}
+        """The top coefficients at the samples-last unitaries g, (keys, N),
+        and per bundle the Hermitian gap of its rotated center coefficients
+        and their largest one, (bundles, 2)."""
+        curv, hermitian = {}, []
         for spec in specs:
             coeffs = _center_coeffs(spec, C, g)
-            hermitian_defect = np.maximum(hermitian_defect, _hermitian_defect(coeffs))
+            hermitian.append(_hermitian_gap(coeffs))
             curv[spec] = chern_forms(FormMatrix.from_coeffs(chart.space, spec.rank, coeffs))
-        return exprs.evaluate(
+        value = exprs.evaluate(
             F_expr,
             const=lambda q: ExtForm.scalar(chart.space, q),
             chern=lambda j, ref: curv[spec_of[ref]][j],
         )
+        # a coefficient that does not depend on g is a number
+        coeffs = [np.broadcast_to(value.terms.get((J | vmask, K | vmask), 0.0), g.shape[2:]) for J, K in keys]
+        return np.array(coeffs), np.array(hermitian)
 
-    value = None
+    top = None
     for chunk_idx in range(-(-cfg.num_samples // cfg.chunk)):
         count = min(cfg.chunk, cfg.num_samples - chunk_idx * cfg.chunk)
         if k:
             rng = np.random.Generator(
                 np.random.Philox(key=np.array([cfg.seed, chunk_idx], dtype=np.uint64))
             )
-            value = integrand(_haar_unitaries(rng, chart.r, count))
-        elif value is None:
-            # a degree-0 integrand reads only the vertical block, which no
-            # rotation changes: every sample equals its value at g = 1
-            value = integrand(np.eye(chart.r, dtype=complex)[:, :, None])
+            g = _haar_unitaries(rng, chart.r, count)
+            # the integrand on slices of the chunk: the forms of one slice
+            # are all that is held at once, and every sample's value is the
+            # same in any slice
+            parts = [integrand(g[:, :, i : i + _MC_SLICE]) for i in range(0, count, _MC_SLICE)]
+            vals = np.concatenate([v for v, _ in parts], axis=1)
+            hermitian = np.max([h for _, h in parts], axis=0)
+        else:
+            if top is None:
+                # a degree-0 integrand reads only the vertical block, which no
+                # rotation changes: every sample equals its value at g = 1
+                top, hermitian = integrand(np.eye(chart.r, dtype=complex)[:, :, None])
+            vals = np.broadcast_to(top, (len(keys), count))
+        for gap, scale in hermitian:
+            hermitian_defect = np.maximum(hermitian_defect, _relative(gap, scale))
 
-        # a coefficient that does not depend on g is a number
-        vals = np.array([np.broadcast_to(value.terms.get((J | vmask, K | vmask), 0.0), (count,)) for J, K in keys])
         vals = vals[:, np.isfinite(vals).all(axis=0)] * weight[:, None]
         m = vals.shape[1]
         if not m:

@@ -8,6 +8,9 @@ from flagforms.exprs import (
     Lit,
     MAX_DEPTH,
     ParseError,
+    Power,
+    Product,
+    Sum,
     chern_symbols,
     degrees,
     evaluate,
@@ -74,6 +77,31 @@ def _nested(depth):
     return "(" * depth + "c1(E)" + " + c1(E))^1*1" * depth
 
 
+def _same_tree(a, b):
+    """a == b node by node with a stack: the dataclass __eq__ of the nodes
+    recurses and gives out near 90 nested levels."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Sum):
+            if [s for s, _ in a.items] != [s for s, _ in b.items]:
+                return False
+            stack += zip([x for _, x in a.items], [x for _, x in b.items])
+        elif isinstance(a, Product):
+            if len(a.factors) != len(b.factors):
+                return False
+            stack += zip(a.factors, b.factors)
+        elif isinstance(a, Power):
+            if a.exponent != b.exponent:
+                return False
+            stack.append((a.base, b.base))
+        elif a != b:
+            return False
+    return True
+
+
 def test_nesting_up_to_the_limit_parses_and_evaluates():
     node = parse("(" * MAX_DEPTH + "c1(E)" + ")" * MAX_DEPTH)
     assert node == parse("c1(E)")
@@ -81,6 +109,8 @@ def test_nesting_up_to_the_limit_parses_and_evaluates():
     assert degrees(node) == {1}
     assert chern_symbols(node) == [(1, BundleRef("E"))] * (MAX_DEPTH + 1)
     assert evaluate(node, const=lambda q: q, chern=lambda j, ref: Fraction(1)) == MAX_DEPTH + 1
+    assert _same_tree(parse(to_text(node)), node)
+    assert not _same_tree(parse(_nested(MAX_DEPTH - 1)), node)
 
 
 @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200, 10**4])

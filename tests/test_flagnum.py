@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1188,6 +1189,43 @@ def test_chunked_moments_equal_one_chunk(monkeypatch):
     for key, v in one.form.terms.items():
         assert abs(split.form.terms[key] - v) <= 1e-12 * abs(v)
         assert split.stderr[key] == pytest.approx(one.stderr[key], rel=1e-9)
+
+
+@pytest.mark.parametrize("rho,expr", [((0, 1, 3), "c1(Q1)^2*c2(Q1)"), ((0, 2, 4), "c1(Q2)^4*c2(Q2)")])
+def test_slicing_a_chunk_changes_no_bit(monkeypatch, rho, expr):
+    # the integrand runs on slices of each chunk's draws; every field of the
+    # estimate is that of one slice per chunk, bit for bit, the Hermitian
+    # defect and both audit defects too
+    chart = FlagChart(rho, 2)
+    C = griffiths_sample(2, rho[-1], terms=3, seed=4)
+    cfg = SamplerConfig(1500, 0, chunk=700)
+    monkeypatch.setattr(flagnum, "_MC_SLICE", cfg.chunk)
+    whole = pushforward_numeric(chart, expr, C, cfg)
+    assert whole.hermitian_defect > 0.0 and whole.n_samples == 1500
+    for size in (1, 7, 10**9):
+        monkeypatch.setattr(flagnum, "_MC_SLICE", size)
+        est = pushforward_numeric(chart, expr, C, cfg)
+        assert est.form.terms == whole.form.terms, size
+        assert est.to_json() == whole.to_json(), size
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_whole_chunk():
+    # one chunk of 4 slices against one chunk of one slice: only the draw
+    # and its QR grow with the chunk, not the per-sample forms (a ratio
+    # near 4 when the whole chunk is one slice; 1.42 measured)
+    chart = FlagChart((0, 2, 4), 2)
+    C = griffiths_sample(2, 4, terms=3, seed=0)
+    size = flagnum._MC_SLICE
+    pushforward_numeric(chart, "c1(Q2)^4*c2(Q2)", C, SamplerConfig(64, 0))  # fill the caches
+    peaks = []
+    for samples in (size, 4 * size):
+        tracemalloc.start()
+        try:
+            pushforward_numeric(chart, "c1(Q2)^4*c2(Q2)", C, SamplerConfig(samples, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.0 * peaks[0], peaks
 
 
 def _no_haar_draws(rng, r, count):
